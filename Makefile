@@ -9,8 +9,10 @@
 # concurrency shows up as a race, not just a determinism break.
 # internal/simd rides along too: the SWAR lane-law property tests there are
 # pure math, but running them under -race keeps the exhaustive truth tables
-# honest if anyone parallelizes them later.
-RACE_PKGS := ./internal/sched/... ./internal/master/... ./internal/slave/... ./internal/wire/... ./internal/httpapi/... ./internal/metrics/... ./internal/jobs/... ./internal/autoscale/... ./internal/sim/... ./internal/simd/... ./internal/prefilter/... ./internal/cluster/...
+# honest if anyone parallelizes them later. The root package rides along
+# because its Search/SearchContext tests drive the cluster fleet's
+# replica goroutines, cancellation included.
+RACE_PKGS := ./internal/sched/... ./internal/master/... ./internal/slave/... ./internal/wire/... ./internal/httpapi/... ./internal/metrics/... ./internal/jobs/... ./internal/autoscale/... ./internal/sim/... ./internal/simd/... ./internal/prefilter/... ./internal/cluster/... .
 
 all: build lint test
 
@@ -25,8 +27,8 @@ vet:
 # metric handles, dropped errors, metric naming, and the flow-sensitive
 # quartet (ctxflow, unlockpath, leakcheck, deadline) built on the CFG/
 # dataflow engine. The second pass audits every //swcheck:ignore directive
-# and fails on stale ones. cmd/metriclint survives as a deprecated alias
-# for the metricname analyzer alone. CI runs this as its own job (with a
+# and fails on stale ones; `go run ./cmd/swcheck -only metricname ./...`
+# runs the metric-naming check alone. CI runs this as its own job (with a
 # JSON findings artifact); locally it still rides along in `make all`.
 lint:
 	go run ./cmd/swcheck ./...

@@ -86,7 +86,7 @@ func main() {
 		drain  = flag.Duration("drain", 15*time.Second, "graceful-shutdown deadline for in-flight requests")
 		quiet  = flag.Bool("quiet", false, "suppress the per-request access log")
 
-		backend  = flag.String("backend", "local", `job execution backend: "local" (in-process engines) or "cluster" (sharded scatter-gather fleet)`)
+		backend  = flag.String("backend", "local", `job execution backend: "local" (one shard of the -gpus/-sse engines) or "cluster" (sharded scatter-gather fleet)`)
 		shards   = flag.Int("shards", 4, "cluster backend: contiguous database shards")
 		replicas = flag.Int("replicas", 2, "cluster backend: replica engines per shard")
 		kernel   = flag.String("kernel", "", `cluster backend: replica CPU kernel ("farrar" default, "swipe", "multicore")`)

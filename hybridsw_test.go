@@ -1,10 +1,15 @@
 package hybridsw_test
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"sort"
 	"strings"
 	"testing"
 
 	hybridsw "repro"
+	"repro/internal/metrics"
 )
 
 func TestDatabaseNames(t *testing.T) {
@@ -281,5 +286,59 @@ func TestSearchFilteredValidation(t *testing.T) {
 		t.Error("unknown mode accepted")
 	} else if !strings.Contains(err.Error(), "unknown mode") {
 		t.Errorf("error %v", err)
+	}
+}
+
+// TestSearchPlatformEngines pins how a Platform maps onto the engine set
+// Search runs: the engine count (one CPU engine for the zero Platform, not
+// the cluster's default replica count; no CPU engine when only GPUs are
+// asked for) and the paper's PE names, which the event log carries and
+// the serving benchmark's per-engine rows read.
+func TestSearchPlatformEngines(t *testing.T) {
+	db, err := hybridsw.GenerateDatabase("Ensembl Dog Proteins", 0.001, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := hybridsw.GenerateQueries(db, 8, 100, 200, 18)
+	for _, tc := range []struct {
+		p    hybridsw.Platform
+		want []string
+	}{
+		{hybridsw.Platform{}, []string{"SSE1"}},
+		{hybridsw.Platform{GPUs: 1}, []string{"GPU1"}},
+		{hybridsw.Platform{GPUs: 1, SSECores: 2, Policy: "SS"}, []string{"GPU1", "SSE1", "SSE2"}},
+	} {
+		reg := metrics.NewRegistry()
+		var log bytes.Buffer
+		tc.p.Registry, tc.p.Events = reg, metrics.NewEventLog(&log)
+		if _, err := hybridsw.Search(queries, db, tc.p); err != nil {
+			t.Fatal(err)
+		}
+		regs := reg.Counter("master_registrations_total", "Slave registrations accepted.").Value()
+		if int(regs) != len(tc.want) {
+			t.Errorf("%+v: %v engines registered, want %d", tc.want, regs, len(tc.want))
+		}
+		seen := map[string]bool{}
+		sc := bufio.NewScanner(&log)
+		for sc.Scan() {
+			var e metrics.Event
+			if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+				t.Fatal(err)
+			}
+			if e.PE != "" {
+				seen[e.PE] = true
+			}
+		}
+		var got []string
+		for pe := range seen {
+			got = append(got, pe)
+		}
+		sort.Strings(got)
+		if strings.Join(got, ",") != strings.Join(tc.want, ",") {
+			t.Errorf("event-log engines %v, want %v", got, tc.want)
+		}
+	}
+	if _, err := hybridsw.Search(queries, db, hybridsw.Platform{GPUs: 1, Mode: "filtered"}); err == nil {
+		t.Error("GPU-only filtered search accepted")
 	}
 }

@@ -15,11 +15,15 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 
+	"repro/internal/cudasw"
+	"repro/internal/farrar"
 	"repro/internal/metrics"
+	"repro/internal/prefilter"
 	"repro/internal/score"
 	"repro/internal/seq"
 	"repro/internal/slave"
@@ -66,9 +70,13 @@ type Config struct {
 	// Shards is the number of contiguous database partitions; 0 means 1.
 	// Must not exceed len(DB) — every shard holds at least one sequence.
 	Shards int
-	// Replicas is the number of independent engines per shard; 0 means
-	// DefaultReplicas. Each replica can complete the shard's scan alone.
+	// Replicas is the number of CPU engines per shard; 0 means
+	// DefaultReplicas, or none when GPUs is set. Each replica can complete
+	// the shard's scan alone.
 	Replicas int
+	// GPUs adds simulated CUDASW++ engines (real scores, modeled cost) to
+	// every shard. They are SW-only and sit out filtered searches.
+	GPUs int
 	// Scheme is the scoring scheme; the zero value uses the paper's
 	// BLOSUM62/10/2 default.
 	Scheme score.Scheme
@@ -80,21 +88,25 @@ type Config struct {
 	// detector, the backstop for replicas that hang without dropping
 	// (crashes are caught promptly through SlaveGone).
 	Lease time.Duration
-	// Registry, when non-nil, instruments the fleet (cluster_* families)
-	// and every shard job's master/scheduler/slave metrics.
+	// Registry, when non-nil, instruments the fleet (cluster_* families),
+	// every shard job's master/scheduler/slave metrics and the engines'
+	// kernel and prefilter telemetry.
 	Registry *metrics.Registry
+	// Events, when non-nil, receives every shard master's assign/sample/
+	// exec/summary event-log lines.
+	Events *metrics.EventLog
 }
 
-// DefaultReplicas is the per-shard replica count when Config.Replicas is 0.
+// DefaultReplicas is the per-shard replica count when Config.Replicas and
+// Config.GPUs are both 0.
 const DefaultReplicas = 2
 
-// replica is one engine copy of a shard. Engines are stateless between
+// replica is one engine of a shard. Engines are stateless between
 // searches (each Search builds fresh kernels over the shared read-only
 // database slice), so the same replica serves any number of concurrent
 // jobs.
 type replica struct {
-	name string
-	eng  slave.Engine
+	eng slave.Engine
 
 	// dead and down are guarded by the owning shard's mu; down is closed
 	// exactly when dead flips true, so in-flight callers observe the kill
@@ -137,6 +149,8 @@ type Fleet struct {
 	met      *Metrics
 	wireMet  *wire.Metrics
 	slaveMet *slave.Metrics
+	kernMet  *farrar.Metrics
+	preMet   *prefilter.Metrics
 }
 
 // New partitions the database and builds the replica engines.
@@ -150,7 +164,8 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.Shards > len(cfg.DB) {
 		return nil, fmt.Errorf("cluster: %d shards over %d sequences (every shard needs at least one)", cfg.Shards, len(cfg.DB))
 	}
-	if cfg.Replicas <= 0 {
+	cfg.GPUs, cfg.Replicas = max(cfg.GPUs, 0), max(cfg.Replicas, 0)
+	if cfg.GPUs+cfg.Replicas == 0 {
 		cfg.Replicas = DefaultReplicas
 	}
 	if cfg.Scheme.Matrix == nil {
@@ -161,41 +176,69 @@ func New(cfg Config) (*Fleet, error) {
 		f.met = NewMetrics(cfg.Registry)
 		f.wireMet = wire.NewMetrics(cfg.Registry)
 		f.slaveMet = slave.NewMetrics(cfg.Registry)
+		f.kernMet = farrar.NewMetrics(cfg.Registry)
+		f.preMet = prefilter.NewMetrics(cfg.Registry)
 	}
+	live := 0
 	for _, bounds := range partition(cfg.DB, cfg.Shards) {
 		s := &shard{index: len(f.shards), db: cfg.DB[bounds[0]:bounds[1]], offset: bounds[0]}
 		for _, d := range s.db {
 			s.residues += int64(d.Len())
 		}
-		for r := 0; r < cfg.Replicas; r++ {
-			name := fmt.Sprintf("shard%d/replica%d", s.index, r)
-			eng, err := newEngine(name, cfg, s.db)
+		for r := 0; r < cfg.GPUs+cfg.Replicas; r++ {
+			eng, err := f.newEngine(s, r)
 			if err != nil {
 				return nil, err
 			}
-			s.replicas = append(s.replicas, &replica{name: name, eng: eng, down: make(chan struct{})})
+			s.replicas = append(s.replicas, &replica{eng: eng, down: make(chan struct{})})
 		}
+		live += len(s.replicas)
 		f.shards = append(f.shards, s)
 	}
 	if f.met != nil {
-		f.met.LiveReplicas.Set(float64(cfg.Shards * cfg.Replicas))
+		f.met.LiveReplicas.Set(float64(live))
 	}
 	return f, nil
 }
 
-// newEngine builds one replica engine over a shard's database slice,
-// mirroring the kernel selection of the local backend.
-func newEngine(name string, cfg Config, db []*seq.Sequence) (slave.Engine, error) {
-	switch cfg.CPUKernel {
-	case "", "farrar":
-		return slave.NewFarrarEngine(name, cfg.Scheme, db, 0)
-	case "swipe":
-		return slave.NewSwipeEngine(name, cfg.Scheme, db, 0)
-	case "multicore":
-		return slave.NewMulticoreEngine(name, cfg.Scheme, db, cfg.CoresPerHost, 0)
-	default:
-		return nil, fmt.Errorf("cluster: unknown CPU kernel %q", cfg.CPUKernel)
+// newEngine builds a shard's r-th engine: the GPUs come first, then the
+// CPU replicas. Engines take the hybrid platform's PE names (GPU1, SSE1,
+// SSE2, ...), prefixed with their shard in a multi-shard fleet, and every
+// engine is wired to the fleet's kernel and prefilter telemetry.
+func (f *Fleet) newEngine(s *shard, r int) (slave.Engine, error) {
+	var prefix string
+	if f.cfg.Shards > 1 {
+		prefix = fmt.Sprintf("shard%d/", s.index)
 	}
+	var eng slave.Engine
+	var err error
+	if r < f.cfg.GPUs {
+		eng, err = slave.NewGPUEngine(fmt.Sprintf("%sGPU%d", prefix, r+1), cudasw.GTX580(), f.cfg.Scheme, s.db, 0)
+	} else {
+		name := fmt.Sprintf("%sSSE%d", prefix, r-f.cfg.GPUs+1)
+		switch f.cfg.CPUKernel {
+		case "", "farrar":
+			eng, err = slave.NewFarrarEngine(name, f.cfg.Scheme, s.db, 0)
+		case "swipe":
+			eng, err = slave.NewSwipeEngine(name, f.cfg.Scheme, s.db, 0)
+		case "multicore":
+			eng, err = slave.NewMulticoreEngine(name, f.cfg.Scheme, s.db, f.cfg.CoresPerHost, 0)
+		default:
+			err = fmt.Errorf("cluster: unknown CPU kernel %q", f.cfg.CPUKernel)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	if ke, ok := eng.(interface{ SetKernelMetrics(*farrar.Metrics) }); ok {
+		ke.SetKernelMetrics(f.kernMet)
+	}
+	if pe, ok := eng.(interface {
+		SetPrefilterMetrics(*prefilter.Metrics)
+	}); ok {
+		pe.SetPrefilterMetrics(f.preMet)
+	}
+	return eng, nil
 }
 
 // partition splits the database into n contiguous, residue-balanced
@@ -233,6 +276,26 @@ func partition(db []*seq.Sequence, n int) [][2]int {
 
 // Shards returns the shard count.
 func (f *Fleet) Shards() int { return len(f.shards) }
+
+// ErrFilteredUnavailable rejects a filtered search on a fleet without CPU
+// engines: the prefilter and rescore stages run only on CPU engines.
+var ErrFilteredUnavailable = errors.New("cluster: filtered mode needs at least one CPU engine (the GPU engine is SW-only)")
+
+// CheckMode validates a pipeline mode against the fleet's engines and
+// reports whether it selects the filtered pipeline.
+func (f *Fleet) CheckMode(mode string) (filtered bool, err error) {
+	switch mode {
+	case "", "full":
+		return false, nil
+	case "filtered":
+		if f.cfg.Replicas < 1 {
+			return false, ErrFilteredUnavailable
+		}
+		return true, nil
+	default:
+		return false, fmt.Errorf("cluster: unknown mode %q (want \"\", \"full\" or \"filtered\")", mode)
+	}
+}
 
 // ShardHealth is one shard's liveness snapshot, the /readyz payload.
 type ShardHealth struct {

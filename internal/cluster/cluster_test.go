@@ -9,9 +9,12 @@ import (
 
 	"repro"
 	"repro/internal/cluster"
+	"repro/internal/farrar"
 	"repro/internal/metrics"
+	"repro/internal/prefilter"
 	"repro/internal/score"
 	"repro/internal/seq"
+	"repro/internal/sw"
 	"repro/internal/wire"
 )
 
@@ -44,9 +47,82 @@ func rankingJSON(t *testing.T, perQuery []hybridsw.QueryResult) string {
 	return string(b)
 }
 
+// bruteForce is the independent ranking oracle: scalar sw.Score of every
+// query against every database sequence, ranked under wire.HitLess. Each
+// query scores on its own goroutine; the scalar DP dominates the test's
+// run time under -race.
+func bruteForce(queries, db []*seq.Sequence, s score.Scheme) [][]wire.Hit {
+	out := make([][]wire.Hit, len(queries))
+	var wg sync.WaitGroup
+	for qi, q := range queries {
+		wg.Add(1)
+		go func(qi int, q *seq.Sequence) {
+			defer wg.Done()
+			hits := make([]wire.Hit, len(db))
+			for i, d := range db {
+				hits[i] = wire.Hit{SeqID: d.ID, Index: i, Score: sw.Score(q.Residues, d.Residues, s)}
+			}
+			wire.SortHits(hits)
+			out[qi] = hits
+		}(qi, q)
+	}
+	wg.Wait()
+	return out
+}
+
+// checkOracle holds a backend's hits to the brute-force reference. A full
+// scan must equal the reference cut to top-k. A filtered scan may miss
+// hits, but every hit it reports must be a database sequence whose score
+// stays at or below its exact score, and its i-th best may not beat the
+// reference's i-th best.
+func checkOracle(t *testing.T, backend, mode string, topK int, perQuery []hybridsw.QueryResult, ref [][]wire.Hit) {
+	t.Helper()
+	for qi, qr := range perQuery {
+		want := ref[qi]
+		if topK > 0 && len(want) > topK {
+			want = want[:topK]
+		}
+		if mode == "full" {
+			if len(qr.Hits) != len(want) {
+				t.Errorf("%s query %s: %d hits, oracle %d", backend, qr.Query, len(qr.Hits), len(want))
+				continue
+			}
+			for i, h := range qr.Hits {
+				if h.SeqID != want[i].SeqID || h.Index != want[i].Index || h.Score != want[i].Score {
+					t.Errorf("%s query %s hit %d = {%s %d %d}, oracle {%s %d %d}", backend, qr.Query, i,
+						h.SeqID, h.Index, h.Score, want[i].SeqID, want[i].Index, want[i].Score)
+				}
+			}
+			continue
+		}
+		exact := map[int]wire.Hit{}
+		for _, h := range ref[qi] {
+			exact[h.Index] = h
+		}
+		if len(qr.Hits) > len(want) {
+			t.Errorf("%s query %s: %d filtered hits exceed the oracle's %d", backend, qr.Query, len(qr.Hits), len(want))
+		}
+		for i, h := range qr.Hits {
+			e, ok := exact[h.Index]
+			if !ok || e.SeqID != h.SeqID {
+				t.Errorf("%s query %s: filtered hit {%s %d} is not a database sequence", backend, qr.Query, h.SeqID, h.Index)
+				continue
+			}
+			if h.Score > e.Score {
+				t.Errorf("%s query %s: filtered score %d of %s exceeds its exact %d", backend, qr.Query, h.Score, h.SeqID, e.Score)
+			}
+			if i < len(want) && h.Score > want[i].Score {
+				t.Errorf("%s query %s: filtered rank %d scores %d above the oracle's %d", backend, qr.Query, i, h.Score, want[i].Score)
+			}
+		}
+	}
+}
+
 // TestClusterMatchesLocalRanking is the ranking-identity property test:
 // across a seeded scheme x database x mode x top-k matrix, the cluster
-// scatter-gather merge must be byte-identical to the local backend.
+// scatter-gather merge must be byte-identical to the local backend, and
+// both must agree with a brute-force oracle that shares no code with the
+// fleet.
 func TestClusterMatchesLocalRanking(t *testing.T) {
 	altScheme := hybridsw.DefaultScheme()
 	altScheme.Gap = score.AffineGap(5, 1)
@@ -69,6 +145,7 @@ func TestClusterMatchesLocalRanking(t *testing.T) {
 		db := testDB(t, dbc.name, dbc.scale, dbc.seed)
 		queries := hybridsw.GenerateQueries(db, 3, 40, 100, dbc.seed+1)
 		for _, sc := range schemes {
+			ref := bruteForce(queries, db, sc.s)
 			for _, mode := range []string{"full", "filtered"} {
 				for _, topK := range []int{0, 3} {
 					// Exercise the alignment-stripping path on one cell of
@@ -99,6 +176,8 @@ func TestClusterMatchesLocalRanking(t *testing.T) {
 						if got != want {
 							t.Errorf("cluster ranking diverges from local:\n got %s\nwant %s", got, want)
 						}
+						checkOracle(t, "local", mode, topK, local.PerQuery, ref)
+						checkOracle(t, "cluster", mode, topK, rep.PerQuery, ref)
 						if mode == "filtered" {
 							if rep.Filter == nil || local.Filter == nil {
 								t.Fatal("filtered report missing Filter stats")
@@ -177,6 +256,42 @@ func TestClusterFailover(t *testing.T) {
 	health := fleet.Health()
 	if health[0].Live != 2 {
 		t.Errorf("revived shard 0 reports %d live replicas, want 2", health[0].Live)
+	}
+}
+
+// TestReplicaTelemetry pins that cluster replicas publish the kernel and
+// prefilter telemetry: a registry-backed filtered search over several
+// shards must move farrar_fallback_total and every prefilter_* family.
+func TestReplicaTelemetry(t *testing.T) {
+	db := testDB(t, "Ensembl Dog Proteins", 0.001, 31)
+	queries := hybridsw.GenerateQueries(db, 2, 60, 120, 32)
+	reg := metrics.NewRegistry()
+	fleet, err := cluster.New(cluster.Config{DB: db, Shards: 3, Replicas: 2, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fleet.Search(queries, cluster.Params{Mode: "filtered"}); err != nil {
+		t.Fatal(err)
+	}
+	kmet := farrar.NewMetrics(reg)
+	var fallback float64
+	for _, tier := range []string{farrar.Tier8, farrar.Tier16, farrar.TierScalar} {
+		fallback += kmet.Fallback.With(tier).Value()
+	}
+	if fallback == 0 {
+		t.Error("farrar_fallback_total stayed zero")
+	}
+	pmet := prefilter.NewMetrics(reg)
+	for name, v := range map[string]float64{
+		"prefilter_patterns_compiled_total":   pmet.PatternsCompiled.Value(),
+		"prefilter_residues_scanned_total":    pmet.ResiduesScanned.Value(),
+		"prefilter_windows_emitted_total":     pmet.WindowsEmitted.Value(),
+		"prefilter_selectivity_ratio":         float64(pmet.Selectivity.Count()),
+		"prefilter_rescore_cells_saved_total": pmet.RescoreCellsSaved.Value(),
+	} {
+		if v == 0 {
+			t.Errorf("%s stayed zero", name)
+		}
 	}
 }
 

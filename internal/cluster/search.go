@@ -14,8 +14,8 @@ import (
 	"repro/internal/wire"
 )
 
-// Params configures one scatter-gather search. The knobs mirror the local
-// backend's hybridsw.Platform so the two paths stay request-compatible.
+// Params configures one scatter-gather search. hybridsw.FleetParams maps a
+// Platform's per-search knobs onto it.
 type Params struct {
 	Policy    string // "SS", "PSS" (default), "Fixed", "WFixed"
 	Adjust    bool   // workload adjustment within each shard
@@ -116,13 +116,9 @@ func (f *Fleet) SearchContext(ctx context.Context, queries []*seq.Sequence, p Pa
 	if _, err := sched.NewPolicy(p.Policy); err != nil {
 		return nil, err
 	}
-	var filtered bool
-	switch p.Mode {
-	case "", "full":
-	case "filtered":
-		filtered = true
-	default:
-		return nil, fmt.Errorf("cluster: unknown mode %q", p.Mode)
+	filtered, err := f.CheckMode(p.Mode)
+	if err != nil {
+		return nil, err
 	}
 
 	var queryResidues int64
@@ -240,6 +236,13 @@ func (f *Fleet) shardOf(index int) int {
 	return -1
 }
 
+// The replica slave loops' progress-notification and standby-poll
+// intervals.
+const (
+	notifyEvery = 20 * time.Millisecond
+	pollEvery   = 5 * time.Millisecond
+)
+
 // searchShard runs one shard's scan as a full master-protocol job: a
 // dedicated master over the shard's residues, every live replica running
 // the standard slave loop against it. Replica death surfaces as a failed
@@ -268,6 +271,7 @@ func (f *Fleet) searchShard(ctx context.Context, s *shard, queries []*seq.Sequen
 		Omega:      p.Omega,
 		Lease:      f.cfg.Lease,
 		Registry:   f.cfg.Registry,
+		Events:     f.cfg.Events,
 		Filtered:   filtered,
 		Filter:     p.Filter,
 		StageProgress: func(stage string, done, total int64) {
@@ -302,8 +306,8 @@ func (f *Fleet) searchShard(ctx context.Context, s *shard, queries []*seq.Sequen
 			defer wg.Done()
 			callers[i] = newReplicaCaller(ctx, r, wire.Meter(wire.Local{H: m}, f.wireMet), m, onFailover)
 			_, errs[i] = slave.Run(callers[i], r.eng, slave.Options{
-				NotifyEvery: 20 * time.Millisecond,
-				Poll:        5 * time.Millisecond,
+				NotifyEvery: notifyEvery,
+				Poll:        pollEvery,
 				TopK:        p.TopK,
 				AlignBest:   p.AlignBest,
 				Metrics:     f.slaveMet,
@@ -320,7 +324,7 @@ func (f *Fleet) searchShard(ctx context.Context, s *shard, queries []*seq.Sequen
 		// that is the fault we absorb. Any other error is a real engine or
 		// protocol failure and fails the shard.
 		if rerr != nil && !callers[i].Down() {
-			return fail(fmt.Errorf("cluster: shard %d replica %s: %w", s.index, replicas[i].name, rerr))
+			return fail(fmt.Errorf("cluster: shard %d replica %s: %w", s.index, replicas[i].eng.Name(), rerr))
 		}
 	}
 	select {

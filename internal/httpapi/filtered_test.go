@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 
+	hybridsw "repro"
+	"repro/internal/dataset"
 	"repro/internal/jobs"
 )
 
@@ -75,6 +78,34 @@ func TestSearchUnknownMode(t *testing.T) {
 	json.Unmarshal(body, &out)
 	if out["reason"] != "unknown_mode" {
 		t.Fatalf("reason %q", out["reason"])
+	}
+}
+
+// TestSearchFilteredUnavailable: a GPU-only local server has no engine for
+// the prefilter and rescore stages, so a filtered request is refused up
+// front with 422 filtered_unavailable while full scans still run.
+func TestSearchFilteredUnavailable(t *testing.T) {
+	db := dataset.Generate(dataset.Profile{Name: "t", NumSeqs: 20, MeanLen: 70, SigmaLn: 0.5, MinLen: 20, MaxLen: 200}, 42)
+	s, err := New("test-db", db, hybridsw.Platform{GPUs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	fastaQ := fmt.Sprintf(">q\n%s\n", db[4].Residues)
+	resp, body := post(t, ts.URL+"/search", SearchRequest{QueriesFasta: fastaQ, Mode: "filtered"})
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("filtered on GPU-only: status %d: %s", resp.StatusCode, body)
+	}
+	var out map[string]string
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out["reason"] != "filtered_unavailable" {
+		t.Fatalf("reason %q", out["reason"])
+	}
+	if resp, body = post(t, ts.URL+"/search", SearchRequest{QueriesFasta: fastaQ}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("full scan on GPU-only: status %d: %s", resp.StatusCode, body)
 	}
 }
 

@@ -68,12 +68,13 @@ type Options struct {
 	// values. A negative field disables that cap.
 	Limits Limits
 	// Jobs configures the job subsystem (queue depth, executor-pool size,
-	// cache budget, durable dir). Run, Salt, Metrics, MaxQueries and
+	// cache budget, durable dir). Executor, Salt, Metrics, MaxQueries and
 	// MaxResidues are supplied by the server and need not be set.
 	Jobs jobs.Config
-	// Fleet, when non-nil, routes every job onto the sharded scatter-gather
-	// backend (internal/cluster) instead of the in-process engine set. The
-	// fleet must be built over the same database the server was.
+	// Fleet, when non-nil, routes every job onto this sharded scatter-gather
+	// fleet (the cluster backend). The fleet must be built over the same
+	// database the server was. When nil, the server builds a one-shard
+	// fleet of the platform's engines (the local backend).
 	Fleet *cluster.Fleet
 }
 
@@ -89,7 +90,8 @@ type Server struct {
 	maxBody  int64
 	limits   Limits
 	jobs     *jobs.Manager
-	fleet    *cluster.Fleet // nil on the local backend
+	fleet    *cluster.Fleet
+	backend  jobs.Backend
 
 	// draining flips once shutdown starts; /readyz answers 503 from then
 	// on so load balancers drain traffic before Close aborts running jobs.
@@ -134,13 +136,16 @@ func NewWithOptions(dbName string, db []*seq.Sequence, platform hybridsw.Platfor
 	for _, d := range db {
 		s.residues += int64(d.Len())
 	}
-	jc := opts.Jobs
-	if opts.Fleet != nil {
-		s.fleet = opts.Fleet
-		jc.Executor = &clusterExecutor{s: s, fleet: opts.Fleet}
-	} else {
-		jc.Executor = &localExecutor{s: s}
+	s.fleet, s.backend = opts.Fleet, jobs.BackendCluster
+	if s.fleet == nil {
+		fleet, err := hybridsw.NewFleet(db, platform)
+		if err != nil {
+			return nil, err
+		}
+		s.fleet, s.backend = fleet, jobs.BackendLocal
 	}
+	jc := opts.Jobs
+	jc.Executor = &clusterExecutor{s: s}
 	// The ranking-identity contract makes local and cluster results
 	// byte-compatible, so the cache salt deliberately ignores the backend.
 	jc.Salt = s.cacheSalt()
@@ -380,19 +385,12 @@ func (s *Server) decodeSearch(w http.ResponseWriter, r *http.Request) (jreq jobs
 			return jreq, false
 		}
 	}
-	switch req.Mode {
-	case "", "full":
-	case "filtered":
-		// Cluster replicas are always CPU engines, so only the local
-		// backend can find itself GPU-only and without a prefilter host.
-		if s.fleet == nil && s.platform.SSECores < 1 && s.platform.GPUs > 0 {
-			writeReject(w, http.StatusUnprocessableEntity, "filtered_unavailable",
-				"filtered mode needs a CPU engine; this server runs GPU-only")
-			return jreq, false
+	if _, err := s.fleet.CheckMode(req.Mode); err != nil {
+		reason := "unknown_mode"
+		if errors.Is(err, cluster.ErrFilteredUnavailable) {
+			reason = "filtered_unavailable"
 		}
-	default:
-		writeReject(w, http.StatusUnprocessableEntity, "unknown_mode",
-			"mode %q is not one of \"\", \"full\", \"filtered\"", req.Mode)
+		writeReject(w, http.StatusUnprocessableEntity, reason, "%v", err)
 		return jreq, false
 	}
 	return jobs.Request{
@@ -428,44 +426,9 @@ func validTenant(name string) error {
 	return nil
 }
 
-// runJob is the executor body the job subsystem runs: one full search with
-// cancellation plumbed through to the scheduler, encoded as the POST
-// /search response shape.
-func (s *Server) runJob(ctx context.Context, req jobs.Request) ([]byte, error) {
-	queries, err := fasta.NewReader(strings.NewReader(req.QueriesFasta)).ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("queries_fasta: %w", err)
-	}
-	p := s.platform
-	if req.TopK > 0 {
-		p.TopK = req.TopK
-	}
-	if req.Policy != "" {
-		p.Policy = req.Policy
-	}
-	p.AlignBest = req.Align
-	if req.Mode != "" {
-		p.Mode = req.Mode
-	}
-	if p.Mode == "filtered" {
-		p.Filter = hybridsw.FilterSpec{K: req.FilterK, Margin: req.FilterMargin}
-		// Per-stage progress lands on the job record, so GET /jobs/{id}
-		// shows prefilter/rescore completion counts while the job runs.
-		p.StageProgress = func(stage string, done, total int64) {
-			s.jobs.SetStage(ctx, stage, done, total)
-		}
-	}
-	rep, err := hybridsw.SearchContext(ctx, queries, s.db, p)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(s.buildSearchResponse(queries, rep, p))
-}
-
 // buildSearchResponse shapes a report into the API response, attaching
 // E-values when the scheme has tabulated statistics.
-func (s *Server) buildSearchResponse(queries []*seq.Sequence, rep *hybridsw.Report, p hybridsw.Platform) SearchResponse {
-	scheme := p.Scheme
+func (s *Server) buildSearchResponse(queries []*seq.Sequence, rep *cluster.Report, scheme hybridsw.Scheme) SearchResponse {
 	if scheme.Matrix == nil {
 		scheme = hybridsw.DefaultScheme()
 	}

@@ -8,8 +8,8 @@ import "context"
 type Backend string
 
 const (
-	// BackendLocal executes jobs on the in-process engine set (the
-	// single-node path swserve has always had).
+	// BackendLocal executes jobs on the single-node engine set (the
+	// platform's GPU and CPU engines as a one-shard internal/cluster fleet).
 	BackendLocal Backend = "local"
 	// BackendCluster executes jobs on a sharded master/slave fleet with
 	// scatter-gather merging (internal/cluster).

@@ -11,10 +11,10 @@
 // hint) instead of accepted and thrashed, identical work executes once, and
 // repeated queries are answered from the cache without touching a kernel.
 //
-// The Manager knows nothing about Smith-Waterman: Config.Run is the
-// executor body (the HTTP layer closes it over hybridsw.SearchContext), and
-// results are opaque byte slices, which keeps the subsystem independently
-// testable.
+// The Manager knows nothing about Smith-Waterman: Config.Executor (or a
+// bare Config.Run) is the executor body (the HTTP layer runs it on a
+// cluster.Fleet), and results are opaque byte slices, which keeps the
+// subsystem independently testable.
 package jobs
 
 import (

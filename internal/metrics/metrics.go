@@ -62,8 +62,8 @@ var histogramUnits = []string{"_seconds", "_bytes", "_cells", "_ratio"}
 // subsystem_name_unit convention: lowercase snake_case with at least one
 // underscore (the leading segment is the subsystem), counters ending in
 // _total, gauges not ending in _total, histograms ending in a recognised
-// unit suffix. cmd/metriclint applies the same check statically to every
-// metric-name literal in the tree.
+// unit suffix. swcheck's metricname analyzer applies the same check
+// statically to every metric-name literal in the tree.
 func CheckName(kind Kind, name string) error {
 	if !nameRE.MatchString(name) {
 		return fmt.Errorf("metric name %q is not subsystem_name_unit lowercase snake_case", name)
@@ -269,6 +269,17 @@ type child struct {
 }
 
 func (r *Registry) family(kind Kind, name, help string, buckets []float64, labels []string) *family {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if f, ok := r.byName[name]; ok {
+		// Re-attaching needs no validation: an identical signature was
+		// validated when the family was first registered. Servers attach
+		// the same bundles on every fleet and job, so this path is hot.
+		if f.kind != kind || !equalStrings(f.labels, labels) || !equalFloats(f.buckets, buckets) {
+			panic(fmt.Sprintf("metrics: %s re-registered as %s%v (was %s%v)", name, kind, labels, f.kind, f.labels))
+		}
+		return f
+	}
 	if err := CheckName(kind, name); err != nil {
 		panic("metrics: " + err.Error())
 	}
@@ -279,14 +290,6 @@ func (r *Registry) family(kind Kind, name, help string, buckets []float64, label
 	}
 	if kind == KindHistogram {
 		checkBuckets(buckets)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if f, ok := r.byName[name]; ok {
-		if f.kind != kind || !equalStrings(f.labels, labels) || !equalFloats(f.buckets, buckets) {
-			panic(fmt.Sprintf("metrics: %s re-registered as %s%v (was %s%v)", name, kind, labels, f.kind, f.labels))
-		}
-		return f
 	}
 	f := &family{
 		name:     name,
