@@ -129,14 +129,6 @@ type Platform struct {
 	TopK     int    // hits returned per query; 0 = all
 	Scheme   Scheme // zero value = DefaultScheme
 
-	// CPUKernel selects the CPU engines' algorithm: "farrar" (default, the
-	// paper's adapted striped kernel), "swipe" (inter-sequence SIMD per
-	// Rognes [17]) or "multicore" (whole-host Fig. 3b engine; see
-	// CoresPerHost).
-	CPUKernel string
-	// CoresPerHost sets the worker count of each "multicore" engine;
-	// 0 uses all available cores.
-	CoresPerHost int
 	// AlignBest ships the traceback alignment of each query's best hit.
 	AlignBest bool
 
@@ -223,15 +215,13 @@ func NewFleet(db []*Sequence, p Platform) (*cluster.Fleet, error) {
 		p.SSECores = 1
 	}
 	return cluster.New(cluster.Config{
-		DB:           db,
-		Shards:       1,
-		Replicas:     p.SSECores,
-		GPUs:         p.GPUs,
-		Scheme:       p.Scheme,
-		CPUKernel:    p.CPUKernel,
-		CoresPerHost: p.CoresPerHost,
-		Registry:     p.Registry,
-		Events:       p.Events,
+		DB:       db,
+		Shards:   1,
+		Replicas: p.SSECores,
+		GPUs:     p.GPUs,
+		Scheme:   p.Scheme,
+		Registry: p.Registry,
+		Events:   p.Events,
 	})
 }
 

@@ -144,36 +144,6 @@ func TestPackagePathIsTidy(t *testing.T) {
 	}
 }
 
-func TestSearchAlternativeKernels(t *testing.T) {
-	db, _ := hybridsw.GenerateDatabase("Ensembl Dog Proteins", 0.0006, 13)
-	queries := hybridsw.GenerateQueries(db, 2, 50, 90, 14)
-	base, err := hybridsw.Search(queries, db, hybridsw.Platform{SSECores: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kernel := range []string{"swipe", "multicore"} {
-		rep, err := hybridsw.Search(queries, db, hybridsw.Platform{
-			SSECores: 1, CPUKernel: kernel, CoresPerHost: 2,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", kernel, err)
-		}
-		for qi := range base.PerQuery {
-			if len(rep.PerQuery[qi].Hits) != len(base.PerQuery[qi].Hits) {
-				t.Fatalf("%s: hit counts differ", kernel)
-			}
-			for hi := range base.PerQuery[qi].Hits {
-				if rep.PerQuery[qi].Hits[hi].Score != base.PerQuery[qi].Hits[hi].Score {
-					t.Fatalf("%s: query %d hit %d differs", kernel, qi, hi)
-				}
-			}
-		}
-	}
-	if _, err := hybridsw.Search(queries, db, hybridsw.Platform{SSECores: 1, CPUKernel: "magic"}); err == nil {
-		t.Error("unknown kernel accepted")
-	}
-}
-
 func TestHitEValue(t *testing.T) {
 	e1, exact := hybridsw.HitEValue(hybridsw.DefaultScheme(), 300, 250, 190_000_000)
 	if !exact {

@@ -80,10 +80,6 @@ type Config struct {
 	// Scheme is the scoring scheme; the zero value uses the paper's
 	// BLOSUM62/10/2 default.
 	Scheme score.Scheme
-	// CPUKernel selects the replica engines' algorithm ("farrar" default,
-	// "swipe", "multicore"); CoresPerHost sizes "multicore" engines.
-	CPUKernel    string
-	CoresPerHost int
 	// Lease, when positive, arms each shard master's lease-based failure
 	// detector, the backstop for replicas that hang without dropping
 	// (crashes are caught promptly through SlaveGone).
@@ -210,34 +206,20 @@ func (f *Fleet) newEngine(s *shard, r int) (slave.Engine, error) {
 	if f.cfg.Shards > 1 {
 		prefix = fmt.Sprintf("shard%d/", s.index)
 	}
-	var eng slave.Engine
-	var err error
 	if r < f.cfg.GPUs {
-		eng, err = slave.NewGPUEngine(fmt.Sprintf("%sGPU%d", prefix, r+1), cudasw.GTX580(), f.cfg.Scheme, s.db, 0)
-	} else {
-		name := fmt.Sprintf("%sSSE%d", prefix, r-f.cfg.GPUs+1)
-		switch f.cfg.CPUKernel {
-		case "", "farrar":
-			eng, err = slave.NewFarrarEngine(name, f.cfg.Scheme, s.db, 0)
-		case "swipe":
-			eng, err = slave.NewSwipeEngine(name, f.cfg.Scheme, s.db, 0)
-		case "multicore":
-			eng, err = slave.NewMulticoreEngine(name, f.cfg.Scheme, s.db, f.cfg.CoresPerHost, 0)
-		default:
-			err = fmt.Errorf("cluster: unknown CPU kernel %q", f.cfg.CPUKernel)
+		eng, err := slave.NewGPUEngine(fmt.Sprintf("%sGPU%d", prefix, r+1), cudasw.GTX580(), f.cfg.Scheme, s.db, 0)
+		if err != nil {
+			return nil, err
 		}
+		eng.SetKernelMetrics(f.kernMet)
+		return eng, nil
 	}
+	eng, err := slave.NewFarrarEngine(fmt.Sprintf("%sSSE%d", prefix, r-f.cfg.GPUs+1), f.cfg.Scheme, s.db, 0)
 	if err != nil {
 		return nil, err
 	}
-	if ke, ok := eng.(interface{ SetKernelMetrics(*farrar.Metrics) }); ok {
-		ke.SetKernelMetrics(f.kernMet)
-	}
-	if pe, ok := eng.(interface {
-		SetPrefilterMetrics(*prefilter.Metrics)
-	}); ok {
-		pe.SetPrefilterMetrics(f.preMet)
-	}
+	eng.SetKernelMetrics(f.kernMet)
+	eng.SetPrefilterMetrics(f.preMet)
 	return eng, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro"
 	"repro/internal/cluster"
@@ -259,6 +260,60 @@ func TestClusterFailover(t *testing.T) {
 	}
 }
 
+// TestFilteredFailsWithoutCPUReplica pins that a filtered search fails
+// promptly when a shard's only CPU replica is dead, before the job or
+// mid-scan: the surviving GPU engine cannot run prefilter or rescore tasks,
+// so waiting on it would hang until ctx ends. A full scan on the same fleet
+// still completes on the GPU.
+func TestFilteredFailsWithoutCPUReplica(t *testing.T) {
+	db := testDB(t, "Ensembl Dog Proteins", 0.002, 41)
+	queries := hybridsw.GenerateQueries(db, 4, 80, 160, 42)
+	fleet, err := cluster.New(cluster.Config{DB: db, GPUs: 1, Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cpu = 1 // the GPU engines come first
+	filtered := func(onShards func([]cluster.ShardStatus)) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		start := time.Now()
+		_, err := fleet.SearchContext(ctx, queries, cluster.Params{Mode: "filtered", OnShards: onShards})
+		if err == nil || ctx.Err() != nil {
+			t.Fatalf("filtered search without a CPU replica: err = %v, ctx = %v", err, ctx.Err())
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("filtered search took %v to fail", d)
+		}
+	}
+
+	if err := fleet.KillReplica(0, cpu); err != nil {
+		t.Fatal(err)
+	}
+	filtered(nil)
+	rep, err := fleet.Search(queries, cluster.Params{TopK: 1})
+	if err != nil {
+		t.Fatalf("full scan on the GPU: %v", err)
+	}
+	if len(rep.PerQuery) != len(queries) {
+		t.Errorf("full scan returned %d queries, want %d", len(rep.PerQuery), len(queries))
+	}
+
+	if err := fleet.ReviveReplica(0, cpu); err != nil {
+		t.Fatal(err)
+	}
+	var kill sync.Once
+	filtered(func(shards []cluster.ShardStatus) {
+		if shards[0].Cells > 0 {
+			kill.Do(func() {
+				if err := fleet.KillReplica(0, cpu); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+	})
+}
+
 // TestReplicaTelemetry pins that cluster replicas publish the kernel and
 // prefilter telemetry: a registry-backed filtered search over several
 // shards must move farrar_fallback_total and every prefilter_* family.
@@ -349,9 +404,6 @@ func TestFleetValidation(t *testing.T) {
 	}
 	if _, err := cluster.New(cluster.Config{DB: db, Shards: len(db) + 1}); err == nil {
 		t.Error("more shards than sequences accepted")
-	}
-	if _, err := cluster.New(cluster.Config{DB: db, CPUKernel: "bogus"}); err == nil {
-		t.Error("unknown kernel accepted")
 	}
 	fleet, err := cluster.New(cluster.Config{DB: db, Shards: 2, Replicas: 1})
 	if err != nil {

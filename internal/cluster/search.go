@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -287,6 +288,12 @@ func (f *Fleet) searchShard(ctx context.Context, s *shard, queries []*seq.Sequen
 	defer m.Close()
 
 	replicas := s.liveReplicas()
+	if filtered {
+		// Only engines that can run prefilter and rescore tasks join a
+		// filtered job; a SW-only GPU engine would poll a job no live CPU
+		// replica is left to finish until ctx ends.
+		replicas = slices.DeleteFunc(replicas, func(r *replica) bool { return slave.EngineCaps(r.eng) == nil })
+	}
 	if len(replicas) == 0 {
 		return fail(fmt.Errorf("cluster: shard %d has no live replica", s.index))
 	}

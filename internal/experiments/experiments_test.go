@@ -32,11 +32,65 @@ func TestFig5Anchors(t *testing.T) {
 	}
 }
 
+// runRows renders each run's simulated makespan and GCUPS at the precision
+// the tables print, the deterministic outputs the golden tables pin.
+func runRows(runs []Run) []string {
+	out := make([]string, len(runs))
+	for i, r := range runs {
+		out[i] = fmt.Sprintf("%s | %s | %.4g s | %.4g GCUPS", r.Config, r.DB, r.Time().Seconds(), r.GCUPS())
+	}
+	return out
+}
+
+// fig6Rows renders Fig. 6's with/without GCUPS and the adjustment gain.
+func fig6Rows(rows []Fig6Row) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = fmt.Sprintf("%s | %.4g / %.4g GCUPS | %+.4g%%", r.Config, r.With, r.Without, r.GainPercent)
+	}
+	return out
+}
+
+// checkGolden compares rendered rows against a pinned table, row by row.
+func checkGolden(t *testing.T, got, want []string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d rows, golden table has %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("row %d = %q, want %q", i, got[i], want[i])
+		}
+	}
+}
+
 func TestTable3SSEScalesNearLinearly(t *testing.T) {
 	runs, table, err := Table3()
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, runRows(runs), []string{
+		"1 SSE | Ensembl Dog Proteins | 456 s | 2.707 GCUPS",
+		"2 SSE | Ensembl Dog Proteins | 232.9 s | 5.3 GCUPS",
+		"4 SSE | Ensembl Dog Proteins | 123 s | 10.04 GCUPS",
+		"8 SSE | Ensembl Dog Proteins | 63.31 s | 19.5 GCUPS",
+		"1 SSE | Ensembl Rat Proteins | 577.6 s | 2.708 GCUPS",
+		"2 SSE | Ensembl Rat Proteins | 294.7 s | 5.306 GCUPS",
+		"4 SSE | Ensembl Rat Proteins | 156 s | 10.02 GCUPS",
+		"8 SSE | Ensembl Rat Proteins | 80.14 s | 19.51 GCUPS",
+		"1 SSE | RefSeq Human Proteins | 725.7 s | 2.707 GCUPS",
+		"2 SSE | RefSeq Human Proteins | 370.3 s | 5.306 GCUPS",
+		"4 SSE | RefSeq Human Proteins | 195.7 s | 10.04 GCUPS",
+		"8 SSE | RefSeq Human Proteins | 100.5 s | 19.55 GCUPS",
+		"1 SSE | RefSeq Mouse Proteins | 561.2 s | 2.707 GCUPS",
+		"2 SSE | RefSeq Mouse Proteins | 286.4 s | 5.305 GCUPS",
+		"4 SSE | RefSeq Mouse Proteins | 151.4 s | 10.04 GCUPS",
+		"8 SSE | RefSeq Mouse Proteins | 77.65 s | 19.57 GCUPS",
+		"1 SSE | UniProtKB/SwissProt | 7184 s | 2.709 GCUPS",
+		"2 SSE | UniProtKB/SwissProt | 3667 s | 5.307 GCUPS",
+		"4 SSE | UniProtKB/SwissProt | 1939 s | 10.04 GCUPS",
+		"8 SSE | UniProtKB/SwissProt | 995.5 s | 19.55 GCUPS",
+	})
 	if table == nil || len(table.Rows) != 5 {
 		t.Fatalf("table rows = %d", len(table.Rows))
 	}
@@ -68,6 +122,23 @@ func TestTable4GPUBehaviour(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, runRows(runs), []string{
+		"1 GPU | Ensembl Dog Proteins | 57.37 s | 21.52 GCUPS",
+		"2 GPU | Ensembl Dog Proteins | 28.81 s | 42.85 GCUPS",
+		"4 GPU | Ensembl Dog Proteins | 15.34 s | 80.46 GCUPS",
+		"1 GPU | Ensembl Rat Proteins | 65.2 s | 23.99 GCUPS",
+		"2 GPU | Ensembl Rat Proteins | 33.02 s | 47.36 GCUPS",
+		"4 GPU | Ensembl Rat Proteins | 17.13 s | 91.32 GCUPS",
+		"1 GPU | RefSeq Human Proteins | 74.72 s | 26.29 GCUPS",
+		"2 GPU | RefSeq Human Proteins | 37.75 s | 52.04 GCUPS",
+		"4 GPU | RefSeq Human Proteins | 19.72 s | 99.64 GCUPS",
+		"1 GPU | RefSeq Mouse Proteins | 64.21 s | 23.66 GCUPS",
+		"2 GPU | RefSeq Mouse Proteins | 32.13 s | 47.28 GCUPS",
+		"4 GPU | RefSeq Mouse Proteins | 17.53 s | 86.68 GCUPS",
+		"1 GPU | UniProtKB/SwissProt | 491.7 s | 39.58 GCUPS",
+		"2 GPU | UniProtKB/SwissProt | 249.2 s | 78.12 GCUPS",
+		"4 GPU | UniProtKB/SwissProt | 132 s | 147.5 GCUPS",
+	})
 	byKey := map[string]Run{}
 	for _, r := range runs {
 		byKey[r.Config+"|"+r.DB] = r
@@ -93,6 +164,33 @@ func TestTable5HybridAnchors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, runRows(runs), []string{
+		"1 GPU + 1 SSE | Ensembl Dog Proteins | 51.99 s | 23.74 GCUPS",
+		"1 GPU + 2 SSE | Ensembl Dog Proteins | 47.92 s | 25.76 GCUPS",
+		"1 GPU + 4 SSE | Ensembl Dog Proteins | 39.82 s | 31 GCUPS",
+		"2 GPU + 4 SSE | Ensembl Dog Proteins | 24.85 s | 49.68 GCUPS",
+		"4 GPU + 4 SSE | Ensembl Dog Proteins | 14.44 s | 85.51 GCUPS",
+		"1 GPU + 1 SSE | Ensembl Rat Proteins | 59.36 s | 26.34 GCUPS",
+		"1 GPU + 2 SSE | Ensembl Rat Proteins | 54.7 s | 28.59 GCUPS",
+		"1 GPU + 4 SSE | Ensembl Rat Proteins | 47.02 s | 33.26 GCUPS",
+		"2 GPU + 4 SSE | Ensembl Rat Proteins | 28.08 s | 55.69 GCUPS",
+		"4 GPU + 4 SSE | Ensembl Rat Proteins | 15.49 s | 100.9 GCUPS",
+		"1 GPU + 1 SSE | RefSeq Human Proteins | 70.03 s | 28.06 GCUPS",
+		"1 GPU + 2 SSE | RefSeq Human Proteins | 64.89 s | 30.28 GCUPS",
+		"1 GPU + 4 SSE | RefSeq Human Proteins | 54.78 s | 35.86 GCUPS",
+		"2 GPU + 4 SSE | RefSeq Human Proteins | 33.86 s | 58.03 GCUPS",
+		"4 GPU + 4 SSE | RefSeq Human Proteins | 17.85 s | 110.1 GCUPS",
+		"1 GPU + 1 SSE | RefSeq Mouse Proteins | 58.34 s | 26.04 GCUPS",
+		"1 GPU + 2 SSE | RefSeq Mouse Proteins | 53.72 s | 28.28 GCUPS",
+		"1 GPU + 4 SSE | RefSeq Mouse Proteins | 45.68 s | 33.26 GCUPS",
+		"2 GPU + 4 SSE | RefSeq Mouse Proteins | 27.39 s | 55.47 GCUPS",
+		"4 GPU + 4 SSE | RefSeq Mouse Proteins | 15.85 s | 95.86 GCUPS",
+		"1 GPU + 1 SSE | UniProtKB/SwissProt | 469.9 s | 41.42 GCUPS",
+		"1 GPU + 2 SSE | UniProtKB/SwissProt | 447.5 s | 43.49 GCUPS",
+		"1 GPU + 4 SSE | UniProtKB/SwissProt | 396.2 s | 49.13 GCUPS",
+		"2 GPU + 4 SSE | UniProtKB/SwissProt | 241.4 s | 80.61 GCUPS",
+		"4 GPU + 4 SSE | UniProtKB/SwissProt | 127.3 s | 152.9 GCUPS",
+	})
 	byKey := map[string]Run{}
 	for _, r := range runs {
 		byKey[r.Config+"|"+r.DB] = r
@@ -131,6 +229,14 @@ func TestFig6AdjustmentGains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, fig6Rows(rows), []string{
+		"1 GPU | 39.58 / 39.58 GCUPS | +0%",
+		"1 GPU + 4 SSE | 49.12 / 34.06 GCUPS | +44.22%",
+		"2 GPU | 78.12 / 78.12 GCUPS | +0%",
+		"2 GPU + 4 SSE | 80.61 / 58.17 GCUPS | +38.58%",
+		"4 GPU | 147.6 / 147.5 GCUPS | +0.05468%",
+		"4 GPU + 4 SSE | 155.6 / 67.24 GCUPS | +131.4%",
+	})
 	if len(rows) != 6 || table == nil {
 		t.Fatalf("%d rows", len(rows))
 	}

@@ -12,9 +12,8 @@
 //     execution environment uses, including its load-imbalance hazard.
 //
 // All three produce scores bit-exact with the internal/sw reference; tests
-// enforce it. The package exists both as a faithful rendering of the
-// paper's taxonomy and as the multicore driver for CPU slaves with more
-// than one core.
+// enforce it. The package is a faithful rendering of the paper's taxonomy;
+// the serving path runs one Farrar engine per CPU core instead.
 package parallel
 
 import (

@@ -3,10 +3,8 @@ package slave
 import (
 	"fmt"
 
-	"repro/internal/farrar"
 	"repro/internal/prefilter"
 	"repro/internal/sched"
-	"repro/internal/score"
 	"repro/internal/seq"
 	"repro/internal/wire"
 )
@@ -46,14 +44,18 @@ func EngineCaps(eng Engine) []sched.TaskKind {
 	return caps
 }
 
-// prefilterPass is the shared Prefilterer body of the CPU engines.
-func prefilterPass(db []*seq.Sequence, query *seq.Sequence, spec prefilter.Spec, cancel <-chan struct{}, pmet *prefilter.Metrics) (prefilter.Result, error) {
+// SetPrefilterMetrics attaches the prefilter instrumentation bundle; each
+// Prefilter pass observes its Stats on completion.
+func (e *FarrarEngine) SetPrefilterMetrics(m *prefilter.Metrics) { e.pmet = m }
+
+// Prefilter implements Prefilterer.
+func (e *FarrarEngine) Prefilter(query *seq.Sequence, spec prefilter.Spec, cancel <-chan struct{}) (prefilter.Result, error) {
 	select {
 	case <-cancel:
 		return prefilter.Result{}, ErrCanceled
 	default:
 	}
-	res, err := prefilter.Run(query.Residues, db, spec)
+	res, err := prefilter.Run(query.Residues, e.db, spec)
 	if err != nil {
 		return prefilter.Result{}, err
 	}
@@ -62,78 +64,36 @@ func prefilterPass(db []*seq.Sequence, query *seq.Sequence, spec prefilter.Spec,
 		return prefilter.Result{}, ErrCanceled
 	default:
 	}
-	pmet.Observe(res.Stats)
+	e.pmet.Observe(res.Stats)
 	return res, nil
-}
-
-// rescorePass is the shared WindowRescorer body of the CPU engines.
-func rescorePass(db []*seq.Sequence, scheme score.Scheme, query *seq.Sequence, windows []sched.Window, cancel <-chan struct{}, kmet *farrar.Metrics) ([]wire.Hit, error) {
-	select {
-	case <-cancel:
-		return nil, ErrCanceled
-	default:
-	}
-	r, err := prefilter.NewRescorer(query.Residues, scheme)
-	if err != nil {
-		return nil, err
-	}
-	scores, _, err := r.Rescore(db, windows)
-	if err != nil {
-		return nil, err
-	}
-	select {
-	case <-cancel:
-		return nil, ErrCanceled
-	default:
-	}
-	kmet.Observe(r.Stats())
-	hits := make([]wire.Hit, len(db))
-	for i, d := range db {
-		hits[i] = wire.Hit{SeqID: d.ID, Index: i, Score: scores[i]}
-	}
-	return hits, nil
-}
-
-// SetPrefilterMetrics attaches the prefilter instrumentation bundle; each
-// Prefilter pass observes its Stats on completion.
-func (e *FarrarEngine) SetPrefilterMetrics(m *prefilter.Metrics) { e.pmet = m }
-
-// Prefilter implements Prefilterer.
-func (e *FarrarEngine) Prefilter(query *seq.Sequence, spec prefilter.Spec, cancel <-chan struct{}) (prefilter.Result, error) {
-	return prefilterPass(e.db, query, spec, cancel, e.pmet)
 }
 
 // RescoreWindows implements WindowRescorer.
 func (e *FarrarEngine) RescoreWindows(query *seq.Sequence, windows []sched.Window, cancel <-chan struct{}) ([]wire.Hit, error) {
-	return rescorePass(e.db, e.scheme, query, windows, cancel, e.kmet)
-}
-
-// SetPrefilterMetrics attaches the prefilter instrumentation bundle.
-func (e *SwipeEngine) SetPrefilterMetrics(m *prefilter.Metrics) { e.pmet = m }
-
-// Prefilter implements Prefilterer.
-func (e *SwipeEngine) Prefilter(query *seq.Sequence, spec prefilter.Spec, cancel <-chan struct{}) (prefilter.Result, error) {
-	return prefilterPass(e.db, query, spec, cancel, e.pmet)
-}
-
-// RescoreWindows implements WindowRescorer. The rescore runs through the
-// Farrar kernel rather than the inter-sequence SWIPE kernel: windows are
-// few and uneven, which defeats SWIPE's lane packing.
-func (e *SwipeEngine) RescoreWindows(query *seq.Sequence, windows []sched.Window, cancel <-chan struct{}) ([]wire.Hit, error) {
-	return rescorePass(e.db, e.scheme, query, windows, cancel, nil)
-}
-
-// SetPrefilterMetrics attaches the prefilter instrumentation bundle.
-func (e *MulticoreEngine) SetPrefilterMetrics(m *prefilter.Metrics) { e.pmet = m }
-
-// Prefilter implements Prefilterer.
-func (e *MulticoreEngine) Prefilter(query *seq.Sequence, spec prefilter.Spec, cancel <-chan struct{}) (prefilter.Result, error) {
-	return prefilterPass(e.db, query, spec, cancel, e.pmet)
-}
-
-// RescoreWindows implements WindowRescorer.
-func (e *MulticoreEngine) RescoreWindows(query *seq.Sequence, windows []sched.Window, cancel <-chan struct{}) ([]wire.Hit, error) {
-	return rescorePass(e.db, e.scheme, query, windows, cancel, e.kmet)
+	select {
+	case <-cancel:
+		return nil, ErrCanceled
+	default:
+	}
+	r, err := prefilter.NewRescorer(query.Residues, e.scheme)
+	if err != nil {
+		return nil, err
+	}
+	scores, _, err := r.Rescore(e.db, windows)
+	if err != nil {
+		return nil, err
+	}
+	select {
+	case <-cancel:
+		return nil, ErrCanceled
+	default:
+	}
+	e.kmet.Observe(r.Stats())
+	hits := make([]wire.Hit, len(e.db))
+	for i, d := range e.db {
+		hits[i] = wire.Hit{SeqID: d.ID, Index: i, Score: scores[i]}
+	}
+	return hits, nil
 }
 
 // runStage executes the kind-specific body of one task and returns the

@@ -104,12 +104,36 @@ func TestScoreEndsCoordinates(t *testing.T) {
 	}
 }
 
+// scoreMatrix fills the full (m+1)x(n+1) Gotoh similarity matrix H of the
+// paper's §II-A phase 1, the textbook recurrence the O(n)-space Score must
+// agree with.
+func scoreMatrix(q, t []byte, s score.Scheme) [][]int {
+	const negInf = -(1 << 30)
+	H := make([][]int, len(q)+1)
+	for i := range H {
+		H[i] = make([]int, len(t)+1)
+	}
+	F := make([]int, len(t)+1) // column gap scores of the previous row
+	for j := range F {
+		F[j] = negInf
+	}
+	for i := 1; i <= len(q); i++ {
+		e := negInf
+		for j := 1; j <= len(t); j++ {
+			e = max(H[i][j-1]-s.Gap.Open-s.Gap.Extend, e-s.Gap.Extend)
+			F[j] = max(H[i-1][j]-s.Gap.Open-s.Gap.Extend, F[j]-s.Gap.Extend)
+			H[i][j] = max(H[i-1][j-1]+s.Matrix.Score(q[i-1], t[j-1]), e, F[j], 0)
+		}
+	}
+	return H
+}
+
 func TestScoreMatrixAgreesWithScore(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for iter := 0; iter < 50; iter++ {
 		q := randProtein(rng, 1+rng.Intn(40))
 		d := randProtein(rng, 1+rng.Intn(40))
-		H := ScoreMatrix(q, d, protScheme())
+		H := scoreMatrix(q, d, protScheme())
 		best := 0
 		for _, row := range H {
 			for _, v := range row {
@@ -259,7 +283,7 @@ func TestAlignGlobalRescoreProperty(t *testing.T) {
 		if re != a.Score {
 			t.Fatalf("iter %d: global rescore %d != score %d", iter, re, a.Score)
 		}
-		if a.Score < Score(q, d, protScheme())-2*MaxPossibleScore(len(q)+len(d), protScheme()) {
+		if a.Score < Score(q, d, protScheme())-2*(len(q)+len(d))*protScheme().Matrix.Max() {
 			t.Fatalf("iter %d: absurd global score %d", iter, a.Score)
 		}
 	}
@@ -318,67 +342,12 @@ func TestAlignLinearSpaceMatchesLocal(t *testing.T) {
 	}
 }
 
-func TestScoreBandedFullBandEqualsScore(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	for iter := 0; iter < 80; iter++ {
-		q := randProtein(rng, 1+rng.Intn(50))
-		d := mutate(rng, q, 0.4)
-		if len(d) == 0 {
-			d = []byte("G")
-		}
-		want := Score(q, d, protScheme())
-		band := max(len(q), len(d))
-		if got := ScoreBanded(q, d, protScheme(), band); got != want {
-			t.Fatalf("iter %d: full-band score %d != %d (m=%d n=%d)", iter, got, want, len(q), len(d))
-		}
-	}
-}
-
-func TestScoreBandedNeverExceedsFull(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for iter := 0; iter < 60; iter++ {
-		q := randProtein(rng, 1+rng.Intn(50))
-		d := mutate(rng, q, 0.4)
-		if len(d) == 0 {
-			d = []byte("G")
-		}
-		full := Score(q, d, protScheme())
-		prev := -1
-		for _, band := range []int{0, 1, 2, 4, 8, 16, 64} {
-			got := ScoreBanded(q, d, protScheme(), band)
-			if got > full {
-				t.Fatalf("iter %d band %d: banded %d > full %d", iter, band, got, full)
-			}
-			if got < prev {
-				t.Fatalf("iter %d band %d: banded score not monotone in band (%d < %d)", iter, band, got, prev)
-			}
-			prev = got
-		}
-	}
-}
-
-func TestScoreBandedIdentityDiagonal(t *testing.T) {
-	// A perfect self-match lies on the main diagonal: band 0 suffices.
-	rng := rand.New(rand.NewSource(12))
-	q := randProtein(rng, 64)
-	want := Score(q, q, protScheme())
-	if got := ScoreBanded(q, q, protScheme(), 0); got != want {
-		t.Errorf("band-0 self score = %d, want %d", got, want)
-	}
-}
-
 func TestCells(t *testing.T) {
 	if Cells(100, 5000) != 500000 {
 		t.Errorf("Cells(100,5000) = %d", Cells(100, 5000))
 	}
 	if Cells(1<<20, 1<<20) != 1<<40 {
 		t.Error("Cells overflows at large sizes")
-	}
-}
-
-func TestMaxPossibleScore(t *testing.T) {
-	if got := MaxPossibleScore(10, protScheme()); got != 110 {
-		t.Errorf("MaxPossibleScore = %d, want 110 (10 * W:W=11)", got)
 	}
 }
 
