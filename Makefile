@@ -86,9 +86,9 @@ cluster-cover:
 # Short runs of the coverage-guided fuzzers over the two parsers that
 # consume untrusted or crash-corrupted bytes (the wire codec and the jobs
 # WAL replayer) plus the two differential fuzzers: the Farrar kernel one,
-# which drives random sequences and gap schemes through the full
-# SWAR/emulated/scalar ladder and fails on any score divergence, and the
-# Aho-Corasick one, which pits the prefilter automaton against a naive
+# which drives random sequences and gap schemes through the SWAR kernel's
+# 8/16/scalar ladder and the test-only emulated-ISA oracle and fails on
+# any score or tier divergence, and the Aho-Corasick one, which pits the prefilter automaton against a naive
 # multi-pattern scan, and the fair-queue one, which replays randomized
 # push/pop/finish/remove interleavings against a shadow model of the
 # per-tenant accounting. Each target fuzzes for a fixed budget;
@@ -101,11 +101,14 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzFarrarVsScalar -fuzztime=10s ./internal/farrar
 	go test -run='^$$' -fuzz=FuzzACVsNaive -fuzztime=10s ./internal/prefilter
 
-# Fast kernel health check: the four Score8/Score16 microbenchmarks (SWAR
-# vs emulated, so a vanished speedup is visible at a glance), the
+# Fast kernel health check: the four BenchmarkScore{8,16}{SWAR,Emulated}
+# microbenchmarks (the production SWAR tiers next to the test-only
+# emulated-ISA oracle, so a vanished speedup is visible at a glance), the
 # Aho-Corasick automaton-throughput microbenchmark (residues/s over a 1-MiB
 # stream), plus the coverage floor over the kernel and prefilter packages
-# only. Cheap enough for every PR, unlike the full `bench` archive run.
+# only (internal/simd is covered by its own tests; only farrar's test
+# oracle imports it). Cheap enough for every PR, unlike the full `bench`
+# archive run.
 bench-smoke:
 	go test -bench='BenchmarkScore(8|16)' -benchmem -run='^$$' ./internal/farrar
 	go test -bench='BenchmarkACScan' -benchmem -run='^$$' ./internal/prefilter

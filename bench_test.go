@@ -15,8 +15,6 @@ import (
 
 	hybridsw "repro"
 	"repro/internal/assembly"
-	"repro/internal/cudasw"
-	"repro/internal/dataset"
 	"repro/internal/experiments"
 	"repro/internal/farrar"
 	"repro/internal/msa"
@@ -116,8 +114,9 @@ func reportMCUPS(b *testing.B, cellsPerOp int64, elapsed time.Duration) {
 	b.ReportMetric(mcups, "MCUPS")
 }
 
-// BenchmarkKernelFarrarSWAR8 measures the default production 8-bit tier:
-// the 64-bit SWAR kernel behind the dispatched Score8 entry point.
+// BenchmarkKernelFarrarSWAR8 measures the production 8-bit tier, the
+// 64-bit SWAR kernel. The emulated-ISA oracle's speed is measured next to
+// it by internal/farrar's BenchmarkScore{8,16}{SWAR,Emulated}.
 func BenchmarkKernelFarrarSWAR8(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	q := randProtein(rng, 128)
@@ -129,42 +128,7 @@ func BenchmarkKernelFarrarSWAR8(b *testing.B) {
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		if _, ok := k.Score8(d); !ok {
-			b.Fatal("overflow")
-		}
-	}
-	reportMCUPS(b, int64(len(q))*int64(len(d)), time.Since(start))
-}
-
-// BenchmarkKernelFarrarU8 measures the emulated-ISA oracle on the same
-// tier; the gap to KernelFarrarSWAR8 is the SWAR rewrite's payoff.
-func BenchmarkKernelFarrarU8(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	q := randProtein(rng, 128)
-	d := randProtein(rng, 400)
-	k, err := farrar.NewKernel(q, score.DefaultProtein())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		if _, ok := k.ScoreU8(d); !ok {
-			b.Fatal("overflow")
-		}
-	}
-	reportMCUPS(b, int64(len(q))*int64(len(d)), time.Since(start))
-}
-
-func BenchmarkKernelFarrarI16(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	q := randProtein(rng, 128)
-	d := randProtein(rng, 400)
-	k, _ := farrar.NewKernel(q, score.DefaultProtein())
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		if _, ok := k.ScoreI16(d); !ok {
+		if _, ok := k.ScoreSWAR8(d); !ok {
 			b.Fatal("overflow")
 		}
 	}
@@ -204,27 +168,6 @@ func BenchmarkKernelLinearSpace(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sw.AlignLinearSpace(q, d, s)
 	}
-}
-
-func BenchmarkCUDASWEngineSearch(b *testing.B) {
-	p := dataset.Profile{Name: "bench", NumSeqs: 100, MeanLen: 200, SigmaLn: 0.5, MinLen: 50, MaxLen: 800}
-	db := dataset.Generate(p, 6)
-	eng, err := cudasw.NewEngine(cudasw.GTX580(), score.DefaultProtein(), db)
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := dataset.Queries(db, 1, 150, 150, 7)[0]
-	b.ResetTimer()
-	start := time.Now()
-	var cells int64
-	for i := 0; i < b.N; i++ {
-		_, rep, err := eng.Search(q.Residues, true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cells = rep.Cells
-	}
-	reportMCUPS(b, cells, time.Since(start))
 }
 
 func BenchmarkSearchEndToEnd(b *testing.B) {

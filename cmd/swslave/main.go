@@ -16,7 +16,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cudasw"
 	"repro/internal/fasta"
 	"repro/internal/metrics"
 	"repro/internal/score"
@@ -30,7 +29,7 @@ func main() {
 	var (
 		dbPath    = flag.String("db", "", "database FASTA file (resident on this node)")
 		addr      = flag.String("master", "127.0.0.1:7777", "master address")
-		engine    = flag.String("engine", "sse", `engine: "sse" (adapted Farrar) or "gpu"`)
+		engine    = flag.String("engine", "sse", `engine: "sse" (adapted Farrar) or "gpu" (the same kernel run as one uninterruptible launch)`)
 		name      = flag.String("name", "", "slave name (default: engine type + pid)")
 		topK      = flag.Int("top", 0, "hits per task shipped to the master (0 = all)")
 		notify    = flag.Duration("notify", 500*time.Millisecond, "progress notification interval")
@@ -57,7 +56,7 @@ func main() {
 	case "sse":
 		eng, err = slave.NewFarrarEngine(*name, score.DefaultProtein(), db, *declare)
 	case "gpu":
-		eng, err = slave.NewGPUEngine(*name, cudasw.GTX580(), score.DefaultProtein(), db, *declare)
+		eng, err = slave.NewGPUEngine(*name, score.DefaultProtein(), db, *declare)
 	default:
 		fail("unknown engine %q", *engine)
 	}

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	hybridsw "repro"
-	"repro/internal/cudasw"
 	"repro/internal/master"
 	"repro/internal/sched"
 	"repro/internal/score"
@@ -48,7 +47,7 @@ func main() {
 	fmt.Printf("master listening on %s (%d tasks)\n", l.Addr(), len(queries))
 
 	mkEngines := func() []slave.Engine {
-		gpu, err := slave.NewGPUEngine("gpu1", cudasw.GTX580(), score.DefaultProtein(), db, 0)
+		gpu, err := slave.NewGPUEngine("gpu1", score.DefaultProtein(), db, 0)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,8 +5,9 @@
 // It provides, end to end:
 //
 //   - exact Smith-Waterman database search with the adapted Farrar striped
-//     kernel (emulated SSE2) and a CUDASW++ 2.0-style engine with a
-//     simulated GPU device model;
+//     kernel (64-bit SWAR lanes) on the CPU engines and on the GPU
+//     engines, which stand in for CUDASW++ 2.0 and report like one kernel
+//     launch per task;
 //   - the paper's master/slave task execution environment with the SS and
 //     PSS allocation policies, the Fixed/WFixed baselines, and the dynamic
 //     workload adjustment mechanism (task replication to idle slaves);
@@ -22,7 +23,7 @@
 //	})
 //
 // Search runs a real computation on the calling machine (the "GPUs" are
-// simulated devices computing true scores). It runs the platform as a
+// stand-in engines computing true scores with the CPU kernel). It runs the platform as a
 // one-shard fleet of the cluster backend (internal/cluster), so library
 // searches, the local serving backend and the sharded one share a single
 // orchestration path; NewFleet and FleetParams expose that mapping to the
@@ -121,7 +122,7 @@ func GenerateQueries(db []*Sequence, n, minLen, maxLen int, seed int64) []*Seque
 
 // Platform describes the local hybrid platform for Search.
 type Platform struct {
-	GPUs     int    // simulated CUDASW++ devices (real scores, modeled cost)
+	GPUs     int    // GPU engines (CUDASW++ stand-ins: real scores, CPU kernel)
 	SSECores int    // CPU engines
 	Policy   string // "SS", "PSS" (default), "Fixed", "WFixed"
 	Adjust   bool   // enable the workload adjustment mechanism

@@ -20,7 +20,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cudasw"
 	"repro/internal/farrar"
 	"repro/internal/metrics"
 	"repro/internal/prefilter"
@@ -207,7 +206,7 @@ func (f *Fleet) newEngine(s *shard, r int) (slave.Engine, error) {
 		prefix = fmt.Sprintf("shard%d/", s.index)
 	}
 	if r < f.cfg.GPUs {
-		eng, err := slave.NewGPUEngine(fmt.Sprintf("%sGPU%d", prefix, r+1), cudasw.GTX580(), f.cfg.Scheme, s.db, 0)
+		eng, err := slave.NewGPUEngine(fmt.Sprintf("%sGPU%d", prefix, r+1), f.cfg.Scheme, s.db, 0)
 		if err != nil {
 			return nil, err
 		}

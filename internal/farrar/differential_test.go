@@ -33,34 +33,42 @@ func diffSchemes(t testing.TB) []score.Scheme {
 	return schemes
 }
 
-// kernelPair builds the same query under both implementations.
-func kernelPair(t testing.TB, q []byte, s score.Scheme) (swar, emu *Kernel) {
+// kernelPair builds the same query as the SWAR kernel and the emulated
+// oracle.
+func kernelPair(t testing.TB, q []byte, s score.Scheme) (*Kernel, *emulated) {
 	t.Helper()
-	ks, err := NewKernelImpl(q, s, ImplSWAR)
+	ks, err := NewKernel(q, s)
 	if err != nil {
 		t.Fatalf("swar kernel: %v", err)
 	}
-	ke, err := NewKernelImpl(q, s, ImplEmulated)
+	ke, err := newEmulated(q, s)
 	if err != nil {
 		t.Fatalf("emulated kernel: %v", err)
 	}
 	return ks, ke
 }
 
+// ladder is what the SWAR kernel and the oracle share: the full overflow
+// ladder and its tier counters.
+type ladder interface {
+	Score(target []byte) int
+	Stats() Stats
+}
+
 // checkDifferential runs one (query, target) pair through every tier of
 // both implementations and the scalar reference, failing on any
 // disagreement: per-tier (score, ok) pairs must be identical between the
 // implementations, and the full ladder must land on the reference score.
-func checkDifferential(t *testing.T, ks, ke *Kernel, d []byte, want int) {
+func checkDifferential(t *testing.T, ks *Kernel, ke *emulated, d []byte, want int) {
 	t.Helper()
-	s8s, ok8s := ks.Score8(d)
-	s8e, ok8e := ke.Score8(d)
+	s8s, ok8s := ks.ScoreSWAR8(d)
+	s8e, ok8e := ke.ScoreU8(d)
 	if s8s != s8e || ok8s != ok8e {
 		t.Fatalf("8-bit tier diverged: swar=(%d,%v) emulated=(%d,%v)\nq=%s\nd=%s",
 			s8s, ok8s, s8e, ok8e, ks.Query(), d)
 	}
-	s16s, ok16s := ks.Score16(d)
-	s16e, ok16e := ke.Score16(d)
+	s16s, ok16s := ks.ScoreSWAR16(d)
+	s16e, ok16e := ke.ScoreI16(d)
 	if s16s != s16e || ok16s != ok16e {
 		t.Fatalf("16-bit tier diverged: swar=(%d,%v) emulated=(%d,%v)\nq=%s\nd=%s",
 			s16s, ok16s, s16e, ok16e, ks.Query(), d)
@@ -82,7 +90,7 @@ func checkDifferential(t *testing.T, ks, ke *Kernel, d []byte, want int) {
 // TestDifferentialSWARvsEmulatedVsScalar is the tentpole's acceptance
 // test: random sequences × schemes, SWAR vs emulated vs scalar, with the
 // tier decisions (via Stats) required to be identical across
-// implementations — the dispatch switch must be invisible to callers.
+// implementations.
 func TestDifferentialSWARvsEmulatedVsScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xD1FF))
 	for si, s := range diffSchemes(t) {
@@ -159,7 +167,7 @@ func TestTierBoundary253to256(t *testing.T) {
 			q[i] = 'A'
 		}
 		ks, ke := kernelPair(t, q, s)
-		for name, k := range map[string]*Kernel{"swar": ks, "emulated": ke} {
+		for name, k := range map[string]ladder{"swar": ks, "emulated": ke} {
 			if got := k.Score(q); got != tc.length {
 				t.Fatalf("%s len %d: score %d, want %d", name, tc.length, got, tc.length)
 			}
@@ -276,20 +284,6 @@ func TestAllPositiveMatrixPadding(t *testing.T) {
 	}
 }
 
-// TestStatsAdd covers the aggregation helper the parallel path relies on.
-func TestStatsAdd(t *testing.T) {
-	a := Stats{Scored8: 3, Fallback16: 2, FallbackSW: 1}
-	b := Stats{Scored8: 10, Fallback16: 20, FallbackSW: 30}
-	got := a.Add(b)
-	want := Stats{Scored8: 13, Fallback16: 22, FallbackSW: 31}
-	if got != want {
-		t.Fatalf("Stats.Add = %+v, want %+v", got, want)
-	}
-	if got.Total() != 66 {
-		t.Fatalf("Total = %d, want 66", got.Total())
-	}
-}
-
 // FuzzFarrarVsScalar fuzzes both kernel implementations against the
 // scalar reference over fuzzer-chosen sequences and gap penalties. Wired
 // into make fuzz-smoke.
@@ -340,9 +334,11 @@ func benchTarget() (q, d []byte) {
 	return randProtein(rng, 128), randProtein(rng, 400)
 }
 
-func benchScore8(b *testing.B, impl Impl) {
+// benchTier times one tier of one implementation on the benchTarget
+// pair, failing if the tier cannot certify the score.
+func benchTier[K any](b *testing.B, build func([]byte, score.Scheme) (K, error), tier func(K, []byte) (int, bool)) {
 	q, d := benchTarget()
-	k, err := NewKernelImpl(q, protScheme(), impl)
+	k, err := build(q, protScheme())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -350,7 +346,7 @@ func benchScore8(b *testing.B, impl Impl) {
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		if _, ok := k.Score8(d); !ok {
+		if _, ok := tier(k, d); !ok {
 			b.Fatal("unexpected overflow")
 		}
 	}
@@ -360,27 +356,7 @@ func benchScore8(b *testing.B, impl Impl) {
 	}
 }
 
-func benchScore16(b *testing.B, impl Impl) {
-	q, d := benchTarget()
-	k, err := NewKernelImpl(q, protScheme(), impl)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cells := int64(len(q)) * int64(len(d))
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		if _, ok := k.Score16(d); !ok {
-			b.Fatal("unexpected overflow")
-		}
-	}
-	elapsed := time.Since(start)
-	if elapsed > 0 {
-		b.ReportMetric(float64(cells)*float64(b.N)/elapsed.Seconds()/1e6, "MCUPS")
-	}
-}
-
-func BenchmarkScore8SWAR(b *testing.B)      { benchScore8(b, ImplSWAR) }
-func BenchmarkScore8Emulated(b *testing.B)  { benchScore8(b, ImplEmulated) }
-func BenchmarkScore16SWAR(b *testing.B)     { benchScore16(b, ImplSWAR) }
-func BenchmarkScore16Emulated(b *testing.B) { benchScore16(b, ImplEmulated) }
+func BenchmarkScore8SWAR(b *testing.B)      { benchTier(b, NewKernel, (*Kernel).ScoreSWAR8) }
+func BenchmarkScore8Emulated(b *testing.B)  { benchTier(b, newEmulated, (*emulated).ScoreU8) }
+func BenchmarkScore16SWAR(b *testing.B)     { benchTier(b, NewKernel, (*Kernel).ScoreSWAR16) }
+func BenchmarkScore16Emulated(b *testing.B) { benchTier(b, newEmulated, (*emulated).ScoreI16) }

@@ -9,26 +9,21 @@
 // of the F (vertical gap) recurrence out of the inner loop into a rare
 // correction pass.
 //
-// Two interchangeable kernel implementations exist behind one dispatch
-// switch (no build tags):
+// The kernel packs 8 byte lanes — or 4 word lanes in the fallback tier —
+// into a uint64 and computes all lanes at once with the loop-free bit
+// tricks of internal/simd/swar (SWAR: SIMD within a register). The
+// package's tests keep a transcription of the SSE original on the
+// emulated SSE2 ISA of internal/simd as a bit-exact oracle; it is slow,
+// one Go loop iteration per lane, and no production code runs it.
 //
-//   - ImplSWAR (the default) packs 8 byte lanes — or 4 word lanes in the
-//     fallback tier — into a uint64 and computes all lanes at once with
-//     the loop-free bit tricks of internal/simd/swar. This is the
-//     native-speed production path.
-//   - ImplEmulated runs the same recurrences on the emulated SSE2 ISA of
-//     internal/simd, one Go loop iteration per lane — slow, but a direct
-//     transcription of the SSE original, kept as the bit-exact oracle the
-//     differential tests compare against.
-//
-// Both implementations use the same overflow ladder. The 8-bit tier holds
-// DP values as biased unsigned bytes (Farrar's original formulation): the
-// query profile carries bias = -matrix.Min(), so the largest score the
-// tier can certify is 255 - bias, not 255 — a score reaching that ceiling
-// may have been clipped by a saturating add and escalates. The 16-bit
-// tier raises the ceiling to 32767 (the paper's adapted signed variant in
-// the emulated kernel; a biased unsigned rendering with the same ceiling
-// in the SWAR kernel), and the scalar reference resolves anything beyond.
+// The overflow ladder has three rungs. The 8-bit tier holds DP values as
+// biased unsigned bytes (Farrar's original formulation): the query
+// profile carries bias = -matrix.Min(), so the largest score the tier can
+// certify is 255 - bias, not 255 — a score reaching that ceiling may have
+// been clipped by a saturating add and escalates. The 16-bit tier raises
+// the ceiling to 32767 (a biased unsigned rendering of the paper's
+// adapted signed variant, with the same ceiling), and the scalar
+// reference resolves anything beyond.
 //
 // A Kernel precomputes the striped query profile once and scores many
 // database sequences against it, trying the 8-bit kernel first and
@@ -39,37 +34,8 @@ import (
 	"fmt"
 
 	"repro/internal/score"
-	"repro/internal/simd"
 	"repro/internal/sw"
 )
-
-const (
-	lanes8  = 16 // byte lanes in an emulated 128-bit register
-	lanes16 = 8  // 16-bit lanes in an emulated 128-bit register
-)
-
-// Impl selects which kernel implementation a Kernel dispatches to.
-type Impl int
-
-const (
-	// ImplSWAR is the native 64-bit SWAR implementation (the default).
-	ImplSWAR Impl = iota
-	// ImplEmulated is the emulated SSE2 ISA implementation, kept as the
-	// bit-exact oracle.
-	ImplEmulated
-)
-
-// String names the implementation for logs and test output.
-func (i Impl) String() string {
-	switch i {
-	case ImplSWAR:
-		return "swar"
-	case ImplEmulated:
-		return "emulated"
-	default:
-		return fmt.Sprintf("Impl(%d)", int(i))
-	}
-}
 
 // Stats counts kernel dispatch decisions across the lifetime of a Kernel.
 type Stats struct {
@@ -78,36 +44,16 @@ type Stats struct {
 	FallbackSW int64 // sequences that overflowed 16-bit and used the scalar reference
 }
 
-// Add returns the sum of two stat sets — used to aggregate the private
-// kernels of parallel workers into one observable total.
-func (s Stats) Add(o Stats) Stats {
-	return Stats{
-		Scored8:    s.Scored8 + o.Scored8,
-		Fallback16: s.Fallback16 + o.Fallback16,
-		FallbackSW: s.FallbackSW + o.FallbackSW,
-	}
-}
-
-// Total returns the number of sequences the stats cover.
-func (s Stats) Total() int64 { return s.Scored8 + s.Fallback16 + s.FallbackSW }
-
 // Kernel holds the striped query profiles for one query sequence.
 type Kernel struct {
 	query  []byte
 	scheme score.Scheme
-	impl   Impl
 
 	bias   int  // -matrix.Min(), added to 8-bit profile entries
 	tier8  bool // the 8-bit tier's fixed-point assumptions hold
 	tier16 bool // the 16-bit tier's fixed-point assumptions hold
 
-	// Emulated-ISA profiles (the oracle path), built lazily.
-	segLen8  int
-	prof8    [][]simd.U8x16 // prof8[residueIndex][segment]
-	segLen16 int
-	prof16   [][]simd.I16x8
-
-	// SWAR profiles (the native path), built lazily. Byte lane l of
+	// SWAR profiles; the 16-bit one is built lazily. Byte lane l of
 	// swarProf8[r][s] holds the biased score of query position
 	// l*swarSegLen8 + s against residue r.
 	swarSegLen8  int
@@ -118,18 +64,10 @@ type Kernel struct {
 	stats Stats
 }
 
-// NewKernel validates the inputs and prepares the default (SWAR) kernel.
+// NewKernel validates the inputs and prepares the query's kernel.
 func NewKernel(query []byte, s score.Scheme) (*Kernel, error) {
-	return NewKernelImpl(query, s, ImplSWAR)
-}
-
-// NewKernelImpl builds a kernel dispatching to the given implementation.
-func NewKernelImpl(query []byte, s score.Scheme, impl Impl) (*Kernel, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
-	}
-	if impl != ImplSWAR && impl != ImplEmulated {
-		return nil, fmt.Errorf("farrar: unknown impl %v", impl)
 	}
 	if len(query) == 0 {
 		return nil, fmt.Errorf("farrar: empty query")
@@ -137,7 +75,7 @@ func NewKernelImpl(query []byte, s score.Scheme, impl Impl) (*Kernel, error) {
 	if err := s.Matrix.Alphabet().Validate(query); err != nil {
 		return nil, fmt.Errorf("farrar: query: %w", err)
 	}
-	k := &Kernel{query: query, scheme: s, impl: impl, bias: -s.Matrix.Min()}
+	k := &Kernel{query: query, scheme: s, bias: -s.Matrix.Min()}
 	if k.bias < 0 {
 		k.bias = 0
 	}
@@ -149,24 +87,16 @@ func NewKernelImpl(query []byte, s score.Scheme, impl Impl) (*Kernel, error) {
 	gapOE := s.Gap.Open + s.Gap.Extend
 	k.tier8 = k.bias <= 255 && k.bias+s.Matrix.Max() <= 255 && gapOE <= 255
 	k.tier16 = k.bias <= 32767 && k.bias+s.Matrix.Max() <= 32767 && gapOE <= 32767
-	// Build the active implementation's 8-bit profile eagerly so the
-	// construction cost lands on NewKernel, not the first Score; the
-	// other tiers and the oracle's profiles are built on first use.
+	// Build the 8-bit profile eagerly so the construction cost lands on
+	// NewKernel, not the first Score; the 16-bit one is built on first use.
 	if k.tier8 {
-		if impl == ImplSWAR {
-			k.buildSwarProfile8()
-		} else {
-			k.buildProfile8()
-		}
+		k.buildSwarProfile8()
 	}
 	return k, nil
 }
 
 // Query returns the query sequence the kernel was built for.
 func (k *Kernel) Query() []byte { return k.query }
-
-// Impl returns which implementation the kernel dispatches to.
-func (k *Kernel) Impl() Impl { return k.impl }
 
 // Stats returns cumulative kernel dispatch counters.
 func (k *Kernel) Stats() Stats { return k.stats }
@@ -177,83 +107,14 @@ func (k *Kernel) Stats() Stats { return k.stats }
 // from a clipped larger score and must escalate.
 func (k *Kernel) ceiling8() int { return 255 - k.bias }
 
-func (k *Kernel) buildProfile8() {
-	m := len(k.query)
-	k.segLen8 = (m + lanes8 - 1) / lanes8
-	alpha := k.scheme.Matrix.Alphabet()
-	// One row per alphabet residue plus a final all-minimum row used for
-	// database residues outside the alphabet (matching the scalar
-	// reference, which scores them at the matrix minimum).
-	k.prof8 = make([][]simd.U8x16, alpha.Size()+1)
-	for r := 0; r <= alpha.Size(); r++ {
-		segs := make([]simd.U8x16, k.segLen8)
-		var row []int
-		if r < alpha.Size() {
-			row = k.scheme.Matrix.Row(r)
-		}
-		for s := 0; s < k.segLen8; s++ {
-			var v simd.U8x16
-			for l := 0; l < lanes8; l++ {
-				qi := l*k.segLen8 + s
-				if qi >= m {
-					// Padding lanes hold biased zero — the most negative
-					// representable entry — so phantom rows past the query
-					// end can only decay (or, with bias 0, carry a real
-					// value unchanged) and never outgrow the true maximum.
-					// Matrix.Min() here would grow phantoms when Min > 0.
-					continue
-				}
-				sc := k.scheme.Matrix.Min() // invalid residues score worst, like the scalar reference
-				if row != nil {
-					sc = row[alpha.Index(k.query[qi])]
-				}
-				v[l] = uint8(sc + k.bias)
-			}
-			segs[s] = v
-		}
-		k.prof8[r] = segs
-	}
-}
-
-func (k *Kernel) buildProfile16() {
-	m := len(k.query)
-	k.segLen16 = (m + lanes16 - 1) / lanes16
-	alpha := k.scheme.Matrix.Alphabet()
-	k.prof16 = make([][]simd.I16x8, alpha.Size()+1)
-	for r := 0; r <= alpha.Size(); r++ {
-		segs := make([]simd.I16x8, k.segLen16)
-		var row []int
-		if r < alpha.Size() {
-			row = k.scheme.Matrix.Row(r)
-		}
-		for s := 0; s < k.segLen16; s++ {
-			var v simd.I16x8
-			for l := 0; l < lanes16; l++ {
-				qi := l*k.segLen16 + s
-				if qi >= m {
-					v[l] = -32768 // padding: saturating add floors, so phantoms never grow
-					continue
-				}
-				sc := k.scheme.Matrix.Min()
-				if row != nil {
-					sc = row[alpha.Index(k.query[qi])]
-				}
-				v[l] = int16(sc)
-			}
-			segs[s] = v
-		}
-		k.prof16[r] = segs
-	}
-}
-
 // Score returns the optimal local alignment score of the kernel's query vs
 // target, automatically escalating 8-bit -> 16-bit -> scalar on overflow.
 func (k *Kernel) Score(target []byte) int {
-	if sc, ok := k.Score8(target); ok {
+	if sc, ok := k.ScoreSWAR8(target); ok {
 		k.stats.Scored8++
 		return sc
 	}
-	if sc, ok := k.Score16(target); ok {
+	if sc, ok := k.ScoreSWAR16(target); ok {
 		k.stats.Fallback16++
 		return sc
 	}
@@ -261,188 +122,7 @@ func (k *Kernel) Score(target []byte) int {
 	return sw.Score(k.query, target, k.scheme)
 }
 
-// Score8 runs the active implementation's 8-bit tier. ok is false when
-// the score may have overflowed the tier's range, in which case the
-// result is unusable and the caller must rerun with a wider kernel.
-func (k *Kernel) Score8(target []byte) (sc int, ok bool) {
-	if k.impl == ImplEmulated {
-		return k.ScoreU8(target)
-	}
-	return k.ScoreSWAR8(target)
-}
-
-// Score16 runs the active implementation's 16-bit tier. ok is false when
-// the score reached the tier's 32767 ceiling.
-func (k *Kernel) Score16(target []byte) (sc int, ok bool) {
-	if k.impl == ImplEmulated {
-		return k.ScoreI16(target)
-	}
-	return k.ScoreSWAR16(target)
-}
-
 // Cells returns the DP cell count of scoring target, the GCUPS currency.
 func (k *Kernel) Cells(target []byte) int64 {
 	return sw.Cells(len(k.query), len(target))
-}
-
-// ScoreU8 runs the emulated-ISA 8-bit saturating kernel (the oracle for
-// ScoreSWAR8). ok is false when the score may have overflowed the 8-bit
-// range.
-func (k *Kernel) ScoreU8(target []byte) (sc int, ok bool) {
-	if len(target) == 0 {
-		return 0, true
-	}
-	if !k.tier8 {
-		return 0, false
-	}
-	if k.prof8 == nil {
-		k.buildProfile8()
-	}
-	segLen := k.segLen8
-	alpha := k.scheme.Matrix.Alphabet()
-	vBias := simd.SplatU8(uint8(k.bias))
-	vGapOE := simd.SplatU8(uint8(k.scheme.Gap.Open + k.scheme.Gap.Extend))
-	vGapE := simd.SplatU8(uint8(k.scheme.Gap.Extend))
-	var vMax simd.U8x16
-
-	vHLoad := make([]simd.U8x16, segLen)
-	vHStore := make([]simd.U8x16, segLen)
-	vE := make([]simd.U8x16, segLen)
-
-	for _, c := range target {
-		ri := alpha.Index(c)
-		if ri < 0 {
-			ri = alpha.Size() // all-minimum row for out-of-alphabet residues
-		}
-		prof := k.prof8[ri]
-
-		var vF simd.U8x16
-		// H of query position l*segLen-1 feeds lane l segment 0: shift the
-		// last stored segment left one lane (zero fill = H[0][j-1] = 0).
-		vH := simd.ShiftLanesLeftU8(vHLoad[segLen-1], 1)
-		for s := 0; s < segLen; s++ {
-			vH = simd.SubSatU8(simd.AddSatU8(vH, prof[s]), vBias)
-			vH = simd.MaxU8(vH, vE[s])
-			vH = simd.MaxU8(vH, vF)
-			vMax = simd.MaxU8(vMax, vH)
-			vHStore[s] = vH
-
-			vHGap := simd.SubSatU8(vH, vGapOE)
-			vE[s] = simd.MaxU8(simd.SubSatU8(vE[s], vGapE), vHGap)
-			vF = simd.MaxU8(simd.SubSatU8(vF, vGapE), vHGap)
-			vH = vHLoad[s]
-		}
-
-		// Lazy-F correction (Farrar's loop): keep sweeping the decaying F
-		// carry through the striped column while it can still beat the
-		// fresh gap openings the main pass already accounted for. The
-		// carry decays by gapE >= 1 each step and the lane shift retires
-		// it entirely after lanes8 sweeps, so the loop terminates; the
-		// guard bounds it defensively, and if it ever were to expire the
-		// kernel escalates to the next tier instead of returning a score
-		// whose correction pass did not finish.
-		vF = simd.ShiftLanesLeftU8(vF, 1)
-		for s, guard := 0, segLen*(lanes8+1); simd.AnyGtU8(vF, simd.SubSatU8(vHStore[s], vGapOE)); guard-- {
-			if guard <= 0 {
-				return 0, false
-			}
-			nh := simd.MaxU8(vHStore[s], vF)
-			if nh != vHStore[s] {
-				vHStore[s] = nh
-				vMax = simd.MaxU8(vMax, nh)
-				// A raised H can feed a horizontal gap in the next column.
-				vE[s] = simd.MaxU8(vE[s], simd.SubSatU8(nh, vGapOE))
-			}
-			vF = simd.SubSatU8(vF, vGapE)
-			if s++; s == segLen {
-				s = 0
-				vF = simd.ShiftLanesLeftU8(vF, 1)
-			}
-		}
-
-		vHLoad, vHStore = vHStore, vHLoad
-	}
-	best := int(simd.HMaxU8(vMax))
-	if best >= k.ceiling8() {
-		return 0, false // a saturating add may have clipped the true score
-	}
-	return best, true
-}
-
-// ScoreI16 runs the emulated-ISA 16-bit signed kernel (the paper's
-// adapted variant, and the oracle for ScoreSWAR16). ok is false when the
-// score reached the int16 ceiling.
-func (k *Kernel) ScoreI16(target []byte) (sc int, ok bool) {
-	if len(target) == 0 {
-		return 0, true
-	}
-	if !k.tier16 {
-		return 0, false
-	}
-	if k.prof16 == nil {
-		k.buildProfile16()
-	}
-	segLen := k.segLen16
-	alpha := k.scheme.Matrix.Alphabet()
-	vGapOE := simd.SplatI16(int16(k.scheme.Gap.Open + k.scheme.Gap.Extend))
-	vGapE := simd.SplatI16(int16(k.scheme.Gap.Extend))
-	var vZero simd.I16x8
-	vMax := simd.SplatI16(0)
-
-	vHLoad := make([]simd.I16x8, segLen)
-	vHStore := make([]simd.I16x8, segLen)
-	vE := make([]simd.I16x8, segLen)
-
-	for _, c := range target {
-		ri := alpha.Index(c)
-		if ri < 0 {
-			ri = alpha.Size()
-		}
-		prof := k.prof16[ri]
-
-		vF := vZero
-		vH := simd.ShiftLanesLeftI16(vHLoad[segLen-1], 1, 0)
-		for s := 0; s < segLen; s++ {
-			vH = simd.AddSatI16(vH, prof[s])
-			vH = simd.MaxI16(vH, vE[s])
-			vH = simd.MaxI16(vH, vF)
-			vH = simd.MaxI16(vH, vZero) // the Smith-Waterman 0 floor
-			vMax = simd.MaxI16(vMax, vH)
-			vHStore[s] = vH
-
-			vHGap := simd.SubSatI16(vH, vGapOE)
-			vE[s] = simd.MaxI16(simd.SubSatI16(vE[s], vGapE), vHGap)
-			vF = simd.MaxI16(simd.SubSatI16(vF, vGapE), vHGap)
-			vH = vHLoad[s]
-		}
-
-		// Lazy-F correction, signed flavor. The shift fills with the int16
-		// minimum (F of the row-0 boundary is -infinity); filling with 0
-		// would keep the carry alive forever against negative thresholds.
-		// Guard expiry escalates, as in the 8-bit kernel.
-		vF = simd.ShiftLanesLeftI16(vF, 1, -32768)
-		for s, guard := 0, segLen*(lanes16+1); simd.AnyGtI16(vF, simd.SubSatI16(vHStore[s], vGapOE)); guard-- {
-			if guard <= 0 {
-				return 0, false
-			}
-			nh := simd.MaxI16(vHStore[s], vF)
-			if nh != vHStore[s] {
-				vHStore[s] = nh
-				vMax = simd.MaxI16(vMax, nh)
-				vE[s] = simd.MaxI16(vE[s], simd.SubSatI16(nh, vGapOE))
-			}
-			vF = simd.SubSatI16(vF, vGapE)
-			if s++; s == segLen {
-				s = 0
-				vF = simd.ShiftLanesLeftI16(vF, 1, -32768)
-			}
-		}
-
-		vHLoad, vHStore = vHStore, vHLoad
-	}
-	best := int(simd.HMaxI16(vMax))
-	if best >= 32767 {
-		return 0, false
-	}
-	return best, true
 }

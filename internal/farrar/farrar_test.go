@@ -161,7 +161,11 @@ func TestFallbackTo16Bit(t *testing.T) {
 	if st.Fallback16 != 1 || st.Scored8 != 0 {
 		t.Errorf("stats = %+v, want exactly one 16-bit fallback", st)
 	}
-	if _, ok := k.ScoreU8(q); ok {
+	if _, ok := k.ScoreSWAR8(q); ok {
+		t.Error("ScoreSWAR8 claimed ok on an overflowing comparison")
+	}
+	e, _ := newEmulated(q, protScheme())
+	if _, ok := e.ScoreU8(q); ok {
 		t.Error("ScoreU8 claimed ok on an overflowing comparison")
 	}
 }
@@ -178,7 +182,11 @@ func TestFallbackToScalar(t *testing.T) {
 	if st := k.Stats(); st.FallbackSW != 1 {
 		t.Errorf("stats = %+v, want one scalar fallback", st)
 	}
-	if _, ok := k.ScoreI16(q); ok {
+	if _, ok := k.ScoreSWAR16(q); ok {
+		t.Error("ScoreSWAR16 claimed ok on an overflowing comparison")
+	}
+	e, _ := newEmulated(q, protScheme())
+	if _, ok := e.ScoreI16(q); ok {
 		t.Error("ScoreI16 claimed ok on an overflowing comparison")
 	}
 }
@@ -211,18 +219,22 @@ func TestCellsAndQuery(t *testing.T) {
 }
 
 func TestScoreI16DirectMatchesReference(t *testing.T) {
-	// Exercise the 16-bit kernel directly (not only via fallback).
+	// Exercise both 16-bit kernels directly (not only via fallback).
 	rng := rand.New(rand.NewSource(49))
 	for iter := 0; iter < 60; iter++ {
 		q := randProtein(rng, 1+rng.Intn(100))
 		d := mutate(rng, q, 0.4)
+		want := sw.Score(q, d, protScheme())
 		k, _ := NewKernel(q, protScheme())
-		got, ok := k.ScoreI16(d)
-		if !ok {
-			t.Fatalf("iter %d: unexpected i16 overflow", iter)
-		}
-		if want := sw.Score(q, d, protScheme()); got != want {
-			t.Fatalf("iter %d: i16=%d reference=%d", iter, got, want)
+		e, _ := newEmulated(q, protScheme())
+		for name, tier := range map[string]func([]byte) (int, bool){"swar16": k.ScoreSWAR16, "i16": e.ScoreI16} {
+			got, ok := tier(d)
+			if !ok {
+				t.Fatalf("iter %d: unexpected %s overflow", iter, name)
+			}
+			if got != want {
+				t.Fatalf("iter %d: %s=%d reference=%d", iter, name, got, want)
+			}
 		}
 	}
 }

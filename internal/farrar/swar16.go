@@ -3,7 +3,7 @@ package farrar
 import "repro/internal/simd/swar"
 
 // This file is the native-speed 16-bit fallback tier: 4 word lanes packed
-// in a uint64. Unlike the emulated ScoreI16 — which transcribes the SSE
+// in a uint64. Unlike the tests' emulated ScoreI16 — which transcribes the SSE
 // original's *signed* 16-bit arithmetic — this kernel keeps Farrar's
 // biased *unsigned* formulation from the 8-bit tier, because the unsigned
 // saturating bit tricks are what a packed word computes cheaply. The two

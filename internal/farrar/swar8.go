@@ -5,9 +5,10 @@ import "repro/internal/simd/swar"
 // This file is the native-speed 8-bit tier: Farrar's striped kernel on
 // 8 byte lanes packed in a uint64, computed with the loop-free saturating
 // bit tricks of internal/simd/swar. The recurrences are identical to
-// ScoreU8 (the emulated oracle); only the lane count and the arithmetic
-// substrate differ, and since escalation depends only on DP cell values —
-// not on lane geometry — the two return identical (score, ok) pairs.
+// ScoreU8 (the tests' emulated oracle); only the lane count and the
+// arithmetic substrate differ, and since escalation depends only on DP
+// cell values — not on lane geometry — the two return identical
+// (score, ok) pairs.
 //
 // swcheck's purity analyzer bans importing the emulated internal/simd ISA
 // from this file: the hot path must stay on the packed-word bit tricks.
@@ -52,9 +53,6 @@ func (k *Kernel) ScoreSWAR8(target []byte) (sc int, ok bool) {
 	}
 	if !k.tier8 {
 		return 0, false
-	}
-	if k.swarProf8 == nil {
-		k.buildSwarProfile8()
 	}
 	segLen := k.swarSegLen8
 	alpha := k.scheme.Matrix.Alphabet()

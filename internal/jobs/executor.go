@@ -16,10 +16,9 @@ const (
 	BackendCluster Backend = "cluster"
 )
 
-// Executor is the pluggable job-execution seam. A Manager built with
-// Config.Executor routes every job body through Execute instead of the
-// legacy Config.Run closure; Kind stamps each job so observers (JobView,
-// /readyz) can tell which path produced a result.
+// Executor is the job-execution seam. A Manager routes every job body
+// through Config.Executor's Execute; Kind stamps each job so observers
+// (JobView, /readyz) can tell which path produced a result.
 //
 // Execute must honor ctx — cancellation aborts the job — and may call
 // Manager.SetStage/Manager.SetShards with the same ctx to publish progress.

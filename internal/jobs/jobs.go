@@ -11,10 +11,10 @@
 // hint) instead of accepted and thrashed, identical work executes once, and
 // repeated queries are answered from the cache without touching a kernel.
 //
-// The Manager knows nothing about Smith-Waterman: Config.Executor (or a
-// bare Config.Run) is the executor body (the HTTP layer runs it on a
-// cluster.Fleet), and results are opaque byte slices, which keeps the
-// subsystem independently testable.
+// The Manager knows nothing about Smith-Waterman: Config.Executor is the
+// executor body (the HTTP layer runs it on a cluster.Fleet), and results
+// are opaque byte slices, which keeps the subsystem independently
+// testable.
 package jobs
 
 import (
@@ -147,13 +147,10 @@ func (e *RejectError) Error() string { return "jobs: " + e.Detail }
 
 // Config describes a Manager.
 type Config struct {
-	// Run executes one job. It must honor ctx: cancellation aborts the job
-	// (DELETE, client disconnect, shutdown past the drain deadline).
-	// Exactly one of Run and Executor must be set; a bare Run is the
-	// legacy local path (jobs are stamped BackendLocal).
-	Run func(ctx context.Context, req Request) ([]byte, error)
-	// Executor, when non-nil, is the pluggable execution seam: jobs run
-	// through Executor.Execute and are stamped with Executor.Kind().
+	// Executor runs every job (required): jobs run through
+	// Executor.Execute, which must honor ctx — cancellation aborts the job
+	// (DELETE, client disconnect, shutdown past the drain deadline) — and
+	// are stamped with Executor.Kind().
 	Executor Executor
 	// Salt folds the serving identity (database, platform, scheme) into the
 	// cache key, so results never leak across different configurations.
@@ -176,7 +173,8 @@ type Config struct {
 	// queued/finished jobs survive a restart.
 	Dir string
 	// MaxJobs bounds retained terminal job records (oldest-finished pruned
-	// at snapshot time); 0 means DefaultMaxJobs.
+	// every snapshotEvery records, with or without Dir); 0 means
+	// DefaultMaxJobs.
 	MaxJobs int
 	// RetryAfter is the base hint attached to backpressure rejections; the
 	// actual hint scales with queue depth (see RetryAfterFor). 0 means
@@ -203,7 +201,8 @@ const (
 	DefaultMaxJobs    = 1024
 	DefaultRetryAfter = 2 * time.Second
 
-	// snapshotEvery compacts the WAL after this many appended records.
+	// snapshotEvery prunes retention, and compacts the WAL when durable,
+	// after this many logged job records.
 	snapshotEvery = 256
 )
 
@@ -211,18 +210,16 @@ const (
 // store. Fields above mu are set once in New; the group below mu is what mu
 // guards (the cache carries its own lock so result reads skip mu).
 type Manager struct {
-	cfg Config
-	// backend stamps every new job with the execution path that will run
-	// it (derived from Config.Executor, BackendLocal for bare Config.Run).
-	backend Backend
-	base    context.Context
-	abort   context.CancelFunc
-	cache   *lru
-	wg      sync.WaitGroup
+	cfg   Config
+	base  context.Context
+	abort context.CancelFunc
+	cache *lru
+	wg    sync.WaitGroup
 
 	mu       sync.Mutex
 	cond     *sync.Cond
 	st       *store
+	logged   int // job records logged since the last snapshot
 	jobs     map[string]*job
 	byKey    map[string]*job
 	q        *queue
@@ -236,15 +233,8 @@ type Manager struct {
 // (their results readable if persisted), and queued or previously running
 // jobs re-enqueue in creation order.
 func New(cfg Config) (*Manager, error) {
-	backend := BackendLocal
-	switch {
-	case cfg.Run == nil && cfg.Executor == nil:
-		return nil, fmt.Errorf("jobs: one of Config.Run or Config.Executor is required")
-	case cfg.Run != nil && cfg.Executor != nil:
-		return nil, fmt.Errorf("jobs: Config.Run and Config.Executor are mutually exclusive")
-	case cfg.Executor != nil:
-		backend = cfg.Executor.Kind()
-		cfg.Run = cfg.Executor.Execute
+	if cfg.Executor == nil {
+		return nil, fmt.Errorf("jobs: Config.Executor is required")
 	}
 	if cfg.Executors == 0 {
 		cfg.Executors = DefaultExecutors
@@ -265,15 +255,14 @@ func New(cfg Config) (*Manager, error) {
 	base, abort := context.WithCancel(context.Background())
 	book := NewTenantBook(cfg.TenantPolicy, cfg.Tenants, cfg.TenantDefaults)
 	m := &Manager{
-		cfg:     cfg,
-		backend: backend,
-		base:    base,
-		abort:   abort,
-		cache:   newLRU(cfg.CacheBytes),
-		jobs:    map[string]*job{},
-		byKey:   map[string]*job{},
-		q:       newQueue(cfg.MaxQueue, book),
-		book:    book,
+		cfg:   cfg,
+		base:  base,
+		abort: abort,
+		cache: newLRU(cfg.CacheBytes),
+		jobs:  map[string]*job{},
+		byKey: map[string]*job{},
+		q:     newQueue(cfg.MaxQueue, book),
+		book:  book,
 	}
 	m.cond = sync.NewCond(&m.mu)
 	if cfg.Dir != "" {
@@ -476,7 +465,7 @@ func (m *Manager) newJobLocked(key string, req Request, async bool) *job {
 			Key:     key,
 			Request: req,
 			Created: time.Now(),
-			Backend: m.backend,
+			Backend: m.cfg.Executor.Kind(),
 		},
 		done:  make(chan struct{}),
 		async: async,
@@ -518,27 +507,24 @@ func (m *Manager) cachedLocked(key string) ([]byte, bool) {
 }
 
 // logLocked appends the job's current record to the WAL (when durable) and
-// compacts once the WAL has grown enough.
+// snapshots once enough records have been logged.
 func (m *Manager) logLocked(j *job) {
-	if m.st == nil {
-		return
-	}
-	if err := m.st.append(j.Job); err != nil {
-		if mm := m.cfg.Metrics; mm != nil {
-			mm.StoreErrors.Inc()
+	if m.st != nil {
+		if err := m.st.append(j.Job); err != nil {
+			if mm := m.cfg.Metrics; mm != nil {
+				mm.StoreErrors.Inc()
+			}
+			return
 		}
-		return
 	}
-	if m.st.appends >= snapshotEvery {
+	if m.logged++; m.logged >= snapshotEvery {
 		m.snapshotLocked()
 	}
 }
 
-// snapshotLocked prunes retention and compacts the durable store.
+// snapshotLocked prunes retention and, when durable, compacts the store. A
+// failed compaction leaves the count standing, so the next record retries.
 func (m *Manager) snapshotLocked() {
-	if m.st == nil {
-		return
-	}
 	// Retention: drop the oldest-finished terminal records beyond MaxJobs.
 	if over := len(m.jobs) - m.cfg.MaxJobs; over > 0 {
 		var terminal []*job
@@ -561,6 +547,10 @@ func (m *Manager) snapshotLocked() {
 			over--
 		}
 	}
+	if m.st == nil {
+		m.logged = 0
+		return
+	}
 	all := make([]Job, 0, len(m.jobs))
 	keep := make(map[string]bool, len(m.jobs))
 	for _, j := range m.jobs {
@@ -571,7 +561,9 @@ func (m *Manager) snapshotLocked() {
 		if mm := m.cfg.Metrics; mm != nil {
 			mm.StoreErrors.Inc()
 		}
+		return
 	}
+	m.logged = 0
 }
 
 // executor is one worker: it pops queued jobs and runs them until the
@@ -603,7 +595,7 @@ func (m *Manager) executor() {
 		req := j.Request
 		m.mu.Unlock()
 
-		body, err := m.cfg.Run(jctx, req)
+		body, err := m.cfg.Executor.Execute(jctx, req)
 		cancel()
 
 		m.mu.Lock()
@@ -679,11 +671,11 @@ func (m *Manager) storeResultLocked(key string, body []byte) {
 	}
 }
 
-// jobIDKey carries the running job's ID in the context handed to Config.Run,
+// jobIDKey carries the running job's ID in the context handed to Execute,
 // so the executor body can report progress back via SetStage.
 type jobIDKey struct{}
 
-// JobID extracts the running job's identifier from a Config.Run context
+// JobID extracts the running job's identifier from an Execute context
 // (empty outside an executor).
 func JobID(ctx context.Context) string {
 	id, _ := ctx.Value(jobIDKey{}).(string)
@@ -692,7 +684,7 @@ func JobID(ctx context.Context) string {
 
 // SetStage records a running job's per-stage progress (stage names are the
 // pipeline's, e.g. "prefilter"/"rescore"). The executor body calls it from
-// inside Config.Run with the Run context; calls with a foreign or stale
+// inside Execute with the Execute context; calls with a foreign or stale
 // context are dropped. The job's Stages map is replaced, not mutated, so
 // snapshots already handed out stay race-free.
 func (m *Manager) SetStage(ctx context.Context, stage string, done, total int64) {

@@ -21,9 +21,8 @@ import (
 // under its mutex. Write failures degrade durability, never serving: the
 // Manager counts them and keeps going.
 type store struct {
-	dir     string
-	wal     *os.File
-	appends int // records since the last snapshot, drives compaction
+	dir string
+	wal *os.File
 }
 
 const (
@@ -74,11 +73,8 @@ func (s *store) append(j Job) error {
 	if err != nil {
 		return err
 	}
-	if _, err := s.wal.Write(raw); err != nil {
-		return err
-	}
-	s.appends++
-	return nil
+	_, err = s.wal.Write(raw)
+	return err
 }
 
 // saveResult persists one result body under its content key, atomically.
@@ -128,7 +124,6 @@ func (s *store) snapshot(all []Job, keep map[string]bool) error {
 	if _, err := s.wal.Seek(0, 0); err != nil {
 		return err
 	}
-	s.appends = 0
 	entries, err := os.ReadDir(filepath.Join(s.dir, resultsDir))
 	if err != nil {
 		return err

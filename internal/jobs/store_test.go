@@ -91,9 +91,6 @@ func TestStoreSnapshotCompactsAndPrunes(t *testing.T) {
 	if err := st.snapshot([]Job{keep}, map[string]bool{"keep": true}); err != nil {
 		t.Fatal(err)
 	}
-	if st.appends != 0 {
-		t.Fatalf("appends = %d after snapshot", st.appends)
-	}
 	if fi, err := os.Stat(filepath.Join(dir, walName)); err != nil || fi.Size() != 0 {
 		t.Fatalf("WAL not truncated: %v %d", err, fi.Size())
 	}

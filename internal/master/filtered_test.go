@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cudasw"
 	"repro/internal/master"
 	"repro/internal/metrics"
 	"repro/internal/platform"
@@ -202,7 +201,7 @@ func TestFilteredJobWithMixedFleet(t *testing.T) {
 	}
 	defer m.Close()
 	cpu, _ := slave.NewFarrarEngine("cpu", scheme, db, 0)
-	gpu, _ := slave.NewGPUEngine("gpu", cudasw.GTX580(), scheme, db, 0)
+	gpu, _ := slave.NewGPUEngine("gpu", scheme, db, 0)
 
 	var wg sync.WaitGroup
 	var cpuErr error
@@ -269,8 +268,7 @@ func TestFilteredStageProgress(t *testing.T) {
 }
 
 // TestFilteredStageEvents: a filtered run's event log carries one "stage"
-// line per completed stage per query, readable by the platform trace parser
-// (the JSON-shape contract between metrics.Event and platform.TraceEvent).
+// line per completed stage per query, readable by the platform trace parser.
 func TestFilteredStageEvents(t *testing.T) {
 	db, queries := plantedJob(43, 3, 400, 2, 20)
 	var buf bytes.Buffer

@@ -7,13 +7,11 @@ import (
 	"sync/atomic"
 )
 
-// Event is one line of a structured scheduler event stream. Its JSON field
-// names deliberately mirror internal/platform's TraceEvent so a wall-clock
-// master run and a discrete-event simulation produce interchangeable
-// JSON-lines files: the same jq filter or pandas loader reads both.
-// (The types cannot be shared — platform sits above sched while metrics is
-// a leaf package — so the JSON shape is the contract, locked in by the
-// round-trip test in internal/platform.)
+// Event is one line of a structured scheduler event stream. A wall-clock
+// master's event log and a discrete-event run's trace
+// (platform.WriteTrace) both emit it, so the two produce interchangeable
+// JSON-lines files: the same jq filter, pandas loader or
+// platform.ReadTrace reads both.
 type Event struct {
 	Kind    string  `json:"kind"`
 	TimeSec float64 `json:"t"`
@@ -44,7 +42,7 @@ type Event struct {
 	Selectivity float64 `json:"selectivity,omitempty"`
 }
 
-// Event kinds shared with platform.TraceEvent.
+// Event kinds.
 const (
 	EventAssign  = "assign"
 	EventSample  = "sample"

@@ -32,16 +32,6 @@ const negInf = -(1 << 30)
 // `workers` goroutines claim by self-scheduling. Scores return in database
 // order.
 func CoarseGrainedSearch(q []byte, db []*seq.Sequence, s score.Scheme, workers, chunk int) ([]int, error) {
-	scores, _, err := CoarseGrainedSearchStats(q, db, s, workers, chunk)
-	return scores, err
-}
-
-// CoarseGrainedSearchStats is CoarseGrainedSearch plus the aggregated
-// kernel dispatch stats. Each worker goroutine owns a private
-// farrar.Kernel whose per-kernel counters would otherwise vanish with the
-// worker; summing them after the join is what feeds the
-// farrar_fallback_total counters.
-func CoarseGrainedSearchStats(q []byte, db []*seq.Sequence, s score.Scheme, workers, chunk int) ([]int, farrar.Stats, error) {
 	if workers < 1 {
 		workers = 1
 	}
@@ -52,7 +42,6 @@ func CoarseGrainedSearchStats(q []byte, db []*seq.Sequence, s score.Scheme, work
 	type job struct{ lo, hi int }
 	jobs := make(chan job)
 	errs := make([]error, workers)
-	stats := make([]farrar.Stats, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -70,7 +59,6 @@ func CoarseGrainedSearchStats(q []byte, db []*seq.Sequence, s score.Scheme, work
 					scores[i] = kern.Score(db[i].Residues)
 				}
 			}
-			stats[w] = kern.Stats()
 		}(w)
 	}
 	for lo := 0; lo < len(db); lo += chunk {
@@ -78,16 +66,12 @@ func CoarseGrainedSearchStats(q []byte, db []*seq.Sequence, s score.Scheme, work
 	}
 	close(jobs)
 	wg.Wait()
-	var agg farrar.Stats
-	for _, st := range stats {
-		agg = agg.Add(st)
-	}
 	for _, err := range errs {
 		if err != nil {
-			return nil, agg, err
+			return nil, err
 		}
 	}
-	return scores, agg, nil
+	return scores, nil
 }
 
 // VeryCoarseGrainedSearch compares each query to the whole database with
@@ -96,20 +80,12 @@ func CoarseGrainedSearchStats(q []byte, db []*seq.Sequence, s score.Scheme, work
 // lead to load imbalance" — which is exactly what its workload adjustment
 // mechanism repairs at the cluster level.
 func VeryCoarseGrainedSearch(queries []*seq.Sequence, db []*seq.Sequence, s score.Scheme, workers int) ([][]int, error) {
-	out, _, err := VeryCoarseGrainedSearchStats(queries, db, s, workers)
-	return out, err
-}
-
-// VeryCoarseGrainedSearchStats is VeryCoarseGrainedSearch plus the kernel
-// dispatch stats aggregated across every worker's per-query kernels.
-func VeryCoarseGrainedSearchStats(queries []*seq.Sequence, db []*seq.Sequence, s score.Scheme, workers int) ([][]int, farrar.Stats, error) {
 	if workers < 1 {
 		workers = 1
 	}
 	out := make([][]int, len(queries))
 	idx := make(chan int)
 	errs := make([]error, workers)
-	stats := make([]farrar.Stats, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -126,7 +102,6 @@ func VeryCoarseGrainedSearchStats(queries []*seq.Sequence, db []*seq.Sequence, s
 					scores[i] = kern.Score(d.Residues)
 				}
 				out[qi] = scores
-				stats[w] = stats[w].Add(kern.Stats())
 			}
 		}(w)
 	}
@@ -135,14 +110,10 @@ func VeryCoarseGrainedSearchStats(queries []*seq.Sequence, db []*seq.Sequence, s
 	}
 	close(idx)
 	wg.Wait()
-	var agg farrar.Stats
-	for _, st := range stats {
-		agg = agg.Add(st)
-	}
 	for _, err := range errs {
 		if err != nil {
-			return nil, agg, err
+			return nil, err
 		}
 	}
-	return out, agg, nil
+	return out, nil
 }

@@ -149,38 +149,3 @@ func TestAllStrategiesAgree(t *testing.T) {
 		}
 	}
 }
-
-func TestCoarseGrainedStatsAggregation(t *testing.T) {
-	// The fallback-telemetry regression: every worker owns a private
-	// kernel, and before the Stats variants existed their tier counters
-	// were silently dropped on worker exit. Every database sequence must
-	// be accounted for in exactly one tier, regardless of worker count.
-	p := dataset.Profile{Name: "t", NumSeqs: 40, MeanLen: 60, SigmaLn: 0.5, MinLen: 10, MaxLen: 150}
-	db := dataset.Generate(p, 11)
-	q := dataset.Queries(db, 1, 70, 70, 12)[0]
-	for _, workers := range []int{1, 4, 9} {
-		_, stats, err := CoarseGrainedSearchStats(q.Residues, db, score.DefaultProtein(), workers, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := stats.Total(), int64(len(db)); got != want {
-			t.Fatalf("workers=%d: stats account for %d sequences, want %d (%+v)", workers, got, want, stats)
-		}
-		if stats.Scored8 == 0 {
-			t.Fatalf("workers=%d: expected some 8-bit resolutions, got %+v", workers, stats)
-		}
-	}
-}
-
-func TestVeryCoarseGrainedStatsAggregation(t *testing.T) {
-	p := dataset.Profile{Name: "t", NumSeqs: 12, MeanLen: 50, SigmaLn: 0.4, MinLen: 10, MaxLen: 100}
-	db := dataset.Generate(p, 13)
-	queries := dataset.Queries(db, 4, 30, 80, 14)
-	_, stats, err := VeryCoarseGrainedSearchStats(queries, db, score.DefaultProtein(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := stats.Total(), int64(len(queries)*len(db)); got != want {
-		t.Fatalf("stats account for %d comparisons, want %d (%+v)", got, want, stats)
-	}
-}

@@ -5,8 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/sched"
 )
 
@@ -60,9 +60,6 @@ func TestTraceRoundTrip(t *testing.T) {
 	if math.Abs(sum.MakespanSec-res.Makespan.Seconds()) > 1e-9 {
 		t.Errorf("makespan = %v, want %v", sum.MakespanSec, res.Makespan.Seconds())
 	}
-	if sum.Makespan().Round(time.Millisecond) != res.Makespan.Round(time.Millisecond) {
-		t.Errorf("Makespan() = %v", sum.Makespan())
-	}
 	// The replica assignment must be marked.
 	found := false
 	for _, e := range events {
@@ -82,7 +79,7 @@ func TestReadTraceRejectsGarbage(t *testing.T) {
 }
 
 func TestTraceSummaryMissing(t *testing.T) {
-	if _, ok := TraceSummary([]TraceEvent{{Kind: "assign"}}); ok {
+	if _, ok := TraceSummary([]metrics.Event{{Kind: metrics.EventAssign}}); ok {
 		t.Error("summary claimed present")
 	}
 }

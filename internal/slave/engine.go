@@ -1,14 +1,13 @@
 // Package slave implements the slave side of the task execution
 // environment: the request/execute/notify loop of Fig. 4 plus the two
 // execution engines the paper integrates — the adapted Farrar striped
-// kernel for SSE cores (§IV-C) and the encapsulated CUDASW++-style engine
-// for GPUs.
+// kernel for SSE cores (§IV-C) and the encapsulated CUDASW++ engine for
+// GPUs, which here scores with the same striped kernel.
 package slave
 
 import (
 	"fmt"
 
-	"repro/internal/cudasw"
 	"repro/internal/farrar"
 	"repro/internal/prefilter"
 	"repro/internal/sched"
@@ -40,8 +39,8 @@ type Engine interface {
 }
 
 // FarrarEngine is the SSE-core engine: one CPU core running the adapted
-// Farrar striped Smith-Waterman (the SWAR kernel by default, with the
-// emulated SSE2 ISA retained as its oracle).
+// Farrar striped Smith-Waterman (the packed-word SWAR kernel, with the
+// scalar reference as its overflow fallback).
 type FarrarEngine struct {
 	name     string
 	scheme   score.Scheme
@@ -87,9 +86,20 @@ func (e *FarrarEngine) DatabaseResidues() int64 { return e.residues }
 // database files are processed sequentially on the PEs), one striped-kernel
 // score per database sequence.
 func (e *FarrarEngine) Search(query *seq.Sequence, progress func(int64), cancel <-chan struct{}) ([]wire.Hit, error) {
-	kern, err := farrar.NewKernel(query.Residues, e.scheme)
+	hits, kern, err := e.scan(query, progress, cancel)
 	if err != nil {
 		return nil, err
+	}
+	e.kmet.Observe(kern.Stats())
+	return hits, nil
+}
+
+// scan is Search's body minus the telemetry; it returns the kernel so the
+// GPU wrapper can observe its tier stats after its own cancellation check.
+func (e *FarrarEngine) scan(query *seq.Sequence, progress func(int64), cancel <-chan struct{}) ([]wire.Hit, *farrar.Kernel, error) {
+	kern, err := farrar.NewKernel(query.Residues, e.scheme)
+	if err != nil {
+		return nil, nil, err
 	}
 	hits := make([]wire.Hit, len(e.db))
 	var cells int64
@@ -98,7 +108,7 @@ func (e *FarrarEngine) Search(query *seq.Sequence, progress func(int64), cancel 
 	for i, d := range e.db {
 		select {
 		case <-cancel:
-			return nil, ErrCanceled
+			return nil, nil, ErrCanceled
 		default:
 		}
 		hits[i] = wire.Hit{SeqID: d.ID, Index: i, Score: kern.Score(d.Residues)}
@@ -113,48 +123,50 @@ func (e *FarrarEngine) Search(query *seq.Sequence, progress func(int64), cancel 
 	if progress != nil {
 		progress(cells)
 	}
-	e.kmet.Observe(kern.Stats())
-	return hits, nil
+	return hits, kern, nil
 }
 
-// GPUEngine wraps the simulated CUDASW++ engine (§IV-C: "CUDASW was
-// encapsulated and easily integrated to our tool").
+// GPUEngine is the GPU slave (§IV-C: "CUDASW was encapsulated and easily
+// integrated to our tool"). No GPU is involved: the scores come from the
+// same striped kernel the SSE cores run, and the device's speed lives in
+// the calibrated platform.GPUPE model the experiments read. The wrapper
+// keeps a kernel launch's observable shape: one progress report after the
+// whole scan, and cancellation observed only once the scan has finished.
+// It is SW-only; it does not expose the scan's prefilter or rescore
+// stages, so EngineCaps reports no capabilities for it.
 type GPUEngine struct {
-	name     string
-	engine   *cudasw.Engine
-	declared float64
-	kmet     *farrar.Metrics
+	scan *FarrarEngine
 }
 
-// SetKernelMetrics attaches the farrar fallback-telemetry bundle for the
-// engine's real compute core.
-func (e *GPUEngine) SetKernelMetrics(m *farrar.Metrics) { e.kmet = m }
+// SetKernelMetrics attaches the farrar fallback-telemetry bundle; each
+// Search observes its kernel's tier stats once.
+func (e *GPUEngine) SetKernelMetrics(m *farrar.Metrics) { e.scan.kmet = m }
 
 // NewGPUEngine builds a GPU engine over a resident database.
-func NewGPUEngine(name string, dev cudasw.Device, s score.Scheme, db []*seq.Sequence, declaredSpeed float64) (*GPUEngine, error) {
-	eng, err := cudasw.NewEngine(dev, s, db)
+func NewGPUEngine(name string, s score.Scheme, db []*seq.Sequence, declaredSpeed float64) (*GPUEngine, error) {
+	scan, err := NewFarrarEngine(name, s, db, declaredSpeed)
 	if err != nil {
 		return nil, err
 	}
-	return &GPUEngine{name: name, engine: eng, declared: declaredSpeed}, nil
+	return &GPUEngine{scan: scan}, nil
 }
 
 // Name implements Engine.
-func (e *GPUEngine) Name() string { return e.name }
+func (e *GPUEngine) Name() string { return e.scan.name }
 
 // Kind implements Engine.
 func (e *GPUEngine) Kind() sched.SlaveKind { return sched.KindGPU }
 
 // DeclaredSpeed implements Engine.
-func (e *GPUEngine) DeclaredSpeed() float64 { return e.declared }
+func (e *GPUEngine) DeclaredSpeed() float64 { return e.scan.declared }
 
 // DatabaseResidues implements Engine.
-func (e *GPUEngine) DatabaseResidues() int64 { return e.engine.DatabaseResidues() }
+func (e *GPUEngine) DatabaseResidues() int64 { return e.scan.residues }
 
 // Search implements Engine. A GPU kernel launch is not interruptible, so
 // cancellation is only observed between the search and the result return.
 func (e *GPUEngine) Search(query *seq.Sequence, progress func(int64), cancel <-chan struct{}) ([]wire.Hit, error) {
-	hits, rep, err := e.engine.Search(query.Residues, true)
+	hits, kern, err := e.scan.scan(query, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -164,14 +176,10 @@ func (e *GPUEngine) Search(query *seq.Sequence, progress func(int64), cancel <-c
 	default:
 	}
 	if progress != nil {
-		progress(rep.Cells)
+		progress(int64(query.Len()) * e.scan.residues)
 	}
-	e.kmet.Observe(rep.Kernel)
-	out := make([]wire.Hit, len(hits))
-	for i, h := range hits {
-		out[i] = wire.Hit{SeqID: h.ID, Index: h.Index, Score: h.Score}
-	}
-	return out, nil
+	e.scan.kmet.Observe(kern.Stats())
+	return hits, nil
 }
 
 // TopK returns the k best hits under the module-wide ranking contract

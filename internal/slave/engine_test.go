@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/cudasw"
 	"repro/internal/dataset"
 	"repro/internal/score"
 	"repro/internal/seq"
@@ -69,7 +68,7 @@ func TestFarrarEngineValidation(t *testing.T) {
 
 func TestGPUEngineScoresMatchFarrar(t *testing.T) {
 	db := tinyDB(t)
-	gpu, err := NewGPUEngine("gpu0", cudasw.GTX580(), score.DefaultProtein(), db, 0)
+	gpu, err := NewGPUEngine("gpu0", score.DefaultProtein(), db, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,6 +89,55 @@ func TestGPUEngineScoresMatchFarrar(t *testing.T) {
 	}
 	if gpu.Kind().String() != "GPU" {
 		t.Error("kind")
+	}
+}
+
+// TestGPUEngineLaunchContract pins what the GPU wrapper keeps of a kernel
+// launch: a single progress report of |q|×residues after the whole scan
+// (where the SSE engine reports every ~4M cells), cancellation checked
+// only once the scan is over, and no prefilter or rescore capability.
+func TestGPUEngineLaunchContract(t *testing.T) {
+	p := dataset.Profile{Name: "launch", NumSeqs: 200, MeanLen: 200, SigmaLn: 0.3, MinLen: 50, MaxLen: 600}
+	db := dataset.Generate(p, 31)
+	gpu, err := NewGPUEngine("gpu0", score.DefaultProtein(), db, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sse, _ := NewFarrarEngine("sse0", score.DefaultProtein(), db, 0)
+	q := dataset.Queries(db, 1, 200, 200, 32)[0]
+
+	var sseCalls int
+	if _, err := sse.Search(q, func(int64) { sseCalls++ }, make(chan struct{})); err != nil {
+		t.Fatal(err)
+	}
+	if sseCalls < 2 {
+		t.Fatalf("test setup: the SSE engine reported progress %d times, want several", sseCalls)
+	}
+	var calls []int64
+	if _, err := gpu.Search(q, func(c int64) { calls = append(calls, c) }, make(chan struct{})); err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(q.Len()) * gpu.DatabaseResidues(); len(calls) != 1 || calls[0] != want {
+		t.Fatalf("progress calls %v, want exactly [%d]", calls, want)
+	}
+
+	cancel := make(chan struct{})
+	close(cancel)
+	progressed := false
+	if hits, err := gpu.Search(q, func(int64) { progressed = true }, cancel); err != ErrCanceled || hits != nil {
+		t.Fatalf("canceled search = (%d hits, %v), want ErrCanceled", len(hits), err)
+	}
+	if progressed {
+		t.Error("a canceled search reported progress")
+	}
+	// The launch runs before cancellation is checked, so a query the
+	// kernel rejects fails with the kernel's error, not ErrCanceled.
+	if _, err := gpu.Search(seq.New("bad", "", []byte("AC1")), nil, cancel); err == nil || err == ErrCanceled {
+		t.Errorf("invalid query under a closed cancel: err = %v, want the kernel's error", err)
+	}
+
+	if caps := EngineCaps(gpu); caps != nil {
+		t.Errorf("EngineCaps(gpu) = %v, want nil", caps)
 	}
 }
 
@@ -122,7 +170,7 @@ func TestRandomizedEnginesAgree(t *testing.T) {
 	for iter := 0; iter < 3; iter++ {
 		db := dataset.Generate(p, rng.Int63())
 		qs := dataset.Queries(db, 2, 40, 120, rng.Int63())
-		gpu, _ := NewGPUEngine("g", cudasw.GTX580(), score.DefaultProtein(), db, 0)
+		gpu, _ := NewGPUEngine("g", score.DefaultProtein(), db, 0)
 		sse, _ := NewFarrarEngine("s", score.DefaultProtein(), db, 0)
 		for _, q := range qs {
 			gh, _ := gpu.Search(q, nil, make(chan struct{}))

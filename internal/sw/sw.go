@@ -13,8 +13,8 @@
 //     sequences where the O(mn) matrix does not fit in memory.
 //
 // These are the trusted oracles: the vectorized Farrar kernel
-// (internal/farrar) and the simulated GPU engine (internal/cudasw) are
-// property-tested against this package.
+// (internal/farrar), which both slave engines run, is property-tested
+// against this package.
 package sw
 
 import (
